@@ -308,10 +308,12 @@ def cmd_verify(args) -> int:
     checked = [Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD]
     densities = {stage: density_of(stages[stage]) for stage in checked}
     checks = []
+    dense_values = {}
     all_ok = True
     for stage in checked:
         for measure in panel:
             dense_value = measures.dense_coherence(densities[stage], measure)
+            dense_values[stage, measure] = dense_value
             pure_value = measures.pure_state_coherence(stages[stage], measure)
             closed_value = _closed_form_value(stage, measure, dim, f.s)
             values = {
@@ -331,9 +333,9 @@ def cmd_verify(args) -> int:
     deltas = []
     for measure in panel:
         closed_delta = closed_forms.coherence_delta(dim, measure)
-        dense_delta = measures.dense_coherence(
-            densities[Stage.FINAL_HADAMARD], measure
-        ) - measures.dense_coherence(densities[Stage.HADAMARD], measure)
+        dense_delta = (
+            dense_values[Stage.FINAL_HADAMARD, measure] - dense_values[Stage.HADAMARD, measure]
+        )
         spread = abs(closed_delta - dense_delta)
         ok = spread < TOL.cross_method
         all_ok = all_ok and ok

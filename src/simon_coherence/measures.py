@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector, dephase, is_rank_one, matrix_power, require_alpha
+from .states import StateVector, matrix_power, require_alpha
 from .tolerances import TOL
 
 __all__ = [
@@ -141,7 +141,10 @@ def lqp_norm(matrix: np.ndarray, q: float, p: float) -> float:
     """l_q norm over columns of column-wise l_p norms: general utility, q, p >= 1."""
     if q < 1.0 or p < 1.0:
         raise ValueError(f"q and p must be at least 1, got q={q}, p={p}")
-    mags = np.abs(np.asarray(matrix))
+    return _lqp_of_magnitudes(np.abs(np.asarray(matrix)), q, p)
+
+
+def _lqp_of_magnitudes(mags: np.ndarray, q: float, p: float) -> float:
     column_norms = (mags**p).sum(axis=0) ** (1.0 / p)
     return float((column_norms**q).sum() ** (1.0 / q))
 
@@ -165,8 +168,9 @@ def tsallis_coherence(rho: np.ndarray, alpha: float) -> float:
 def l1p_coherence(rho: np.ndarray, p: float) -> float:
     """l_{1,p} coherence: lqp_norm of rho with its diagonal removed, q = 1."""
     _require_p(p)
-    rho = np.asarray(rho)
-    return _clamp(lqp_norm(rho - dephase(rho), 1.0, p))
+    mags = np.abs(np.asarray(rho))
+    np.fill_diagonal(mags, 0.0)
+    return _clamp(_lqp_of_magnitudes(mags, 1.0, p))
 
 
 def relative_entropy_coherence(rho: np.ndarray) -> float:

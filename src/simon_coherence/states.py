@@ -101,8 +101,16 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
 
 
 def density_of(psi: StateVector) -> np.ndarray:
-    """Rank-one density matrix |psi><psi|."""
-    return np.outer(psi.amps, psi.amps.conj())
+    """Rank-one density matrix |psi><psi|.
+
+    When no amplitude has an imaginary part, as at every stage of the Simon
+    circuit, the matrix is the real symmetric float64 outer product, and the
+    dense route downstream runs in real arithmetic.  Otherwise it is complex128.
+    """
+    amps = psi.amps
+    if not amps.imag.any():
+        amps = amps.real
+    return np.outer(amps, amps.conj())
 
 
 def dephase(rho: np.ndarray) -> np.ndarray:
@@ -133,9 +141,11 @@ def hermitian_eig(rho: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
 
     Columns are phased so the first component above the eigenvalue floor is
-    real and positive, making repeated runs byte-for-byte reproducible.
+    real and positive, making repeated runs byte-for-byte reproducible.  A
+    real symmetric input stays in float64 (real eigenvectors, signs fixed the
+    same way); anything else is computed in complex128.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = _as_float_matrix(rho)
     _require_square(rho)
     herm = float(np.abs(rho - rho.conj().T).max())
     if herm > TOL.hermiticity:
@@ -160,10 +170,11 @@ def matrix_power(rho: np.ndarray, alpha: float) -> np.ndarray:
     """rho**alpha for alpha in (0,1) or (1,2], eigenvalues floored at zero.
 
     Rank-one input (purity within TOL.rank_one of 1) is its own power and is
-    returned as-is without an eigendecomposition.
+    returned as-is without an eigendecomposition.  Real symmetric input is
+    powered in float64 arithmetic, complex input in complex128.
     """
     require_alpha(alpha)
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = _as_float_matrix(rho)
     _require_square(rho)
     if is_rank_one(rho):
         return rho.copy()
@@ -206,6 +217,11 @@ def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> None:
         smallest = float(np.linalg.eigvalsh(rho).min())
         if smallest < -TOL.psd:
             raise ValueError(f"negative eigenvalue {smallest:.3e} below -{TOL.psd}")
+
+
+def _as_float_matrix(rho: np.ndarray) -> np.ndarray:
+    """float64 for real input, complex128 for complex input."""
+    return np.asarray(rho, dtype=np.complex128 if np.iscomplexobj(rho) else np.float64)
 
 
 def _require_square(rho: np.ndarray) -> None:

@@ -32,3 +32,11 @@ def random_mixed_density(rng: np.random.Generator, dim: int, terms: int = 3) -> 
     for w in weights:
         rho += w * random_pure_density(rng, dim)
     return rho
+
+
+def real_mixed_density(rng: np.random.Generator, spectrum) -> np.ndarray:
+    """Q diag(spectrum) Q^T for a random orthogonal Q: real symmetric, known eigenvalues."""
+    dim = len(spectrum)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    rho = (q * np.asarray(spectrum, dtype=float)) @ q.T
+    return (rho + rho.T) / 2

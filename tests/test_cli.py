@@ -176,6 +176,21 @@ def test_verify_emits_conflict_note_for_every_panel(capsys):
     assert "ruling out N^2/2-1" in doc["l1_conflict"]["note"]
 
 
+def test_verify_deltas_are_differences_of_the_checked_dense_values(capsys):
+    code, doc = run_json(
+        capsys, ["verify", "--n", "4", "--seed", "5", "--measures", "tsallis,l1p,rel_entropy,skew_info,l1"]
+    )
+    assert code == EXIT_OK
+    dense = {
+        (row["stage"], row["measure"], tuple(row["params"].items())): row["values"]["dense"]
+        for row in doc["checks"]
+    }
+    assert len(doc["deltas"]) == 7
+    for delta in doc["deltas"]:
+        key = (delta["measure"], tuple(delta["params"].items()))
+        assert delta["dense"] == dense[("final_hadamard", *key)] - dense[("hadamard", *key)]
+
+
 def test_verify_argument_errors(capsys):
     code, _, err = run_cli(capsys, ["verify", "--seed", "0"])
     assert code == EXIT_USAGE and "--n is required" in err

@@ -1,0 +1,30 @@
+"""Byte-for-byte stdout of commands whose output must not drift.
+
+Each fixture under ``tests/golden`` is the stdout of the argv beside it.  A
+change that alters one on purpose regenerates it with the same argv and says
+why in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from simon_coherence.cli import EXIT_OK, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDEN_ARGV = {
+    "sweep_n8.json": ["sweep", "--n-max", "8"],
+    "sweep_n8.csv": ["sweep", "--n-max", "8", "--format", "csv"],
+    "recover_n6.json": ["recover", "--n", "6", "--trials", "10", "--seed", "3"],
+    "gen_oracle_n4.txt": ["gen-oracle", "--n", "4", "--s", "0110", "--seed", "1"],
+    "run_n4_dense_off.json": ["run", "--n", "4", "--s", "1010", "--seed", "2", "--dense", "off"],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_ARGV))
+def test_stdout_matches_golden_bytes(capsys, fixture):
+    assert main(GOLDEN_ARGV[fixture]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN_DIR / fixture).read_bytes()

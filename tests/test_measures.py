@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
 
-from conftest import random_amplitudes, random_mixed_density
+from conftest import random_amplitudes, random_mixed_density, real_mixed_density
 from simon_coherence import (
     DEFAULT_PANEL,
     L1,
@@ -17,6 +17,8 @@ from simon_coherence import (
     SKEW_INFO,
     CoherenceMeasure,
     CoherenceValue,
+    TOL,
+    Stage,
     StateVector,
     dense_coherence,
     density_of,
@@ -25,7 +27,9 @@ from simon_coherence import (
     l1p_coherence,
     lqp_norm,
     pure_state_coherence,
+    random_two_to_one,
     relative_entropy_coherence,
+    run_stages,
     skew_information_coherence,
     tsallis,
     tsallis_coherence,
@@ -233,6 +237,30 @@ def test_pure_state_fast_path_matches_dense():
             dense = dense_coherence(rho, measure)
             fast = pure_state_coherence(psi, measure)
             assert abs(dense - fast) < 1e-9, measure.label()
+
+
+def test_real_and_complex_dense_arithmetic_agree_on_the_final_stage():
+    f = random_two_to_one(5, 0b10110, seed=3)
+    rho = density_of(run_stages(f)[Stage.FINAL_HADAMARD])
+    assert rho.dtype == np.float64
+    as_complex = rho.astype(complex)
+    for measure in ALL_KINDS_PANEL:
+        real_value = dense_coherence(rho, measure)
+        complex_value = dense_coherence(as_complex, measure)
+        assert abs(real_value - complex_value) < TOL.cross_method, measure.label()
+
+
+def test_real_and_complex_dense_arithmetic_agree_on_a_known_spectrum():
+    spectrum = [0.5, 0.25, 0.125, 0.125, 0.0, 0.0, 0.0, 0.0]
+    rho = real_mixed_density(np.random.default_rng(59), spectrum)
+    diag = np.diag(rho)
+    expected_rel_entropy = -(diag * np.log2(diag)).sum() - 1.75
+    assert abs(relative_entropy_coherence(rho) - expected_rel_entropy) < 1e-12
+    as_complex = rho.astype(complex)
+    for measure in ALL_KINDS_PANEL + (tsallis(0.3), tsallis(1.7), l1p(1.5)):
+        real_value = dense_coherence(rho, measure)
+        complex_value = dense_coherence(as_complex, measure)
+        assert abs(real_value - complex_value) < TOL.cross_method, measure.label()
 
 
 def test_pure_state_accepts_state_vectors():

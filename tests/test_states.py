@@ -20,7 +20,7 @@ from simon_coherence import (
     tensor,
     validate_density_matrix,
 )
-from conftest import random_mixed_density, random_pure_density
+from conftest import random_mixed_density, random_pure_density, real_mixed_density
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -135,6 +135,16 @@ def test_density_of_uniform_first_register_block():
     validate_density_matrix(rho, check_psd=True)
 
 
+def test_density_of_is_real_exactly_when_every_amplitude_is():
+    real = density_of(hadamard_first_register(basis_state(2, 2, 0)))
+    assert real.dtype == np.float64
+    amps = np.full(4, 0.5, dtype=complex)
+    amps[3] = 0.5j
+    rho = density_of(StateVector(2, 0, amps))
+    assert rho.dtype == np.complex128
+    assert rho[0, 3] == -0.25j
+
+
 def test_density_invariants_on_random_states():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -198,6 +208,22 @@ def test_hermitian_eig_gauge_is_deterministic():
         assert abs(lead.imag) < 1e-12 and lead.real > 0.0
 
 
+def test_hermitian_eig_stays_real_on_real_symmetric_input():
+    spectrum = [0.5, 0.25, 0.125, 0.125, 0.0, 0.0, 0.0, 0.0]
+    rho = real_mixed_density(np.random.default_rng(19), spectrum)
+    system = hermitian_eig(rho)
+    assert system.eigenvalues.dtype == np.float64
+    assert system.eigenvectors.dtype == np.float64
+    assert np.abs(system.eigenvalues - np.sort(spectrum)).max() < 1e-12
+    rebuilt = (system.eigenvectors * system.eigenvalues) @ system.eigenvectors.T
+    assert np.abs(rebuilt - rho).max() < 1e-12
+    for j in range(8):
+        col = system.eigenvectors[:, j]
+        assert col[np.flatnonzero(np.abs(col) > 1e-12)[0]] > 0.0
+    complex_eigenvalues = hermitian_eig(rho.astype(complex)).eigenvalues
+    assert np.abs(system.eigenvalues - complex_eigenvalues).max() < 1e-12
+
+
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -232,6 +258,15 @@ def test_matrix_power_matches_scipy_on_mixed_states():
         for alpha in (0.3, 0.5, 1.5, 2.0):
             expected = fractional_matrix_power(rho, alpha)
             assert np.abs(matrix_power(rho, alpha) - expected).max() < 1e-9
+
+
+def test_matrix_power_keeps_real_input_real():
+    rho = real_mixed_density(np.random.default_rng(37), [0.4, 0.3, 0.2, 0.1])
+    for alpha in (0.5, 2.0):
+        powered = matrix_power(rho, alpha)
+        assert powered.dtype == np.float64
+        assert np.abs(powered - matrix_power(rho.astype(complex), alpha)).max() < 1e-12
+        assert np.abs(powered - fractional_matrix_power(rho, alpha)).max() < 1e-9
 
 
 def test_matrix_power_continuous_at_one():
