@@ -4,7 +4,8 @@
 Prints one row per n with the hadamard-stage value, the final-stage value,
 and their difference for each panel measure, plus the regime verdict.  With
 --check-dense the small dimensions are re-derived from an actual simulated
-oracle so the table is backed by the dense route, not just algebra.
+oracle so the table is backed by the dense and pure-state routes, not just
+algebra: each checked row prints the worst spread between the three routes.
 """
 
 import argparse
@@ -12,19 +13,17 @@ import argparse
 import numpy as np
 
 from simon_coherence import (
-    REGIME_PANEL,
+    DEFAULT_PANEL,
     Stage,
     classify_regime,
     coherence_delta,
-    dense_coherence,
     density_of,
-    final_stage_coherence,
-    hadamard_stage_coherence,
     random_two_to_one,
+    route_values,
     run_stages,
+    stage_coherence,
 )
-
-DENSE_LIMIT = 5
+from simon_coherence.tolerances import MAX_DENSE_QUBITS
 
 
 def main() -> None:
@@ -34,13 +33,13 @@ def main() -> None:
     parser.add_argument(
         "--check-dense",
         action="store_true",
-        help=f"cross-check rows with n <= {DENSE_LIMIT} against a simulated oracle",
+        help=f"cross-check rows with n <= {MAX_DENSE_QUBITS} against a simulated oracle",
     )
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
     header = f"{'n':>3} {'dim':>8} {'regime':>10}"
-    for measure in REGIME_PANEL:
+    for measure in DEFAULT_PANEL:
         header += f" {measure.label():>22}"
     print(header)
 
@@ -48,24 +47,22 @@ def main() -> None:
         dim = 1 << n
         verdict = classify_regime(dim)
         row = f"{n:>3} {dim:>8} {verdict.regime:>10}"
-        for measure in REGIME_PANEL:
+        for measure in DEFAULT_PANEL:
             row += f" {coherence_delta(dim, measure):>22.12g}"
         print(row)
 
-        if args.check_dense and n <= DENSE_LIMIT:
+        if args.check_dense and n <= MAX_DENSE_QUBITS:
             s = int(rng.integers(1, dim))
             f = random_two_to_one(n, s, int(rng.integers(2**31)))
             stages = run_stages(f)
-            rho_h = density_of(stages[Stage.HADAMARD])
-            rho_f = density_of(stages[Stage.FINAL_HADAMARD])
             worst = 0.0
-            for measure in REGIME_PANEL:
-                worst = max(
-                    worst,
-                    abs(dense_coherence(rho_h, measure) - hadamard_stage_coherence(dim, measure)),
-                    abs(dense_coherence(rho_f, measure) - final_stage_coherence(dim, measure)),
-                )
-            print(f"    dense check (s={s:0{n}b}): worst closed-form deviation {worst:.3e}")
+            for stage in (Stage.HADAMARD, Stage.FINAL_HADAMARD):
+                rho = density_of(stages[stage])
+                for measure in DEFAULT_PANEL:
+                    closed = stage_coherence(stage, dim, s, measure)
+                    values = route_values(stages[stage], rho, measure, closed)
+                    worst = max(worst, max(values.values()) - min(values.values()))
+            print(f"    dense check (s={s:0{n}b}): worst cross-route spread {worst:.3e}")
 
 
 if __name__ == "__main__":

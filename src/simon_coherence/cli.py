@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, measures
-from .measures import CoherenceMeasure, METHOD_CLOSED, METHOD_DENSE, METHOD_PURE
+from .measures import FAMILIES, METHOD_DENSE, CoherenceMeasure
 from .recovery import recover
 from .simon import (
     FunctionTableError,
@@ -42,18 +42,15 @@ from .simon import (
     run_stages,
 )
 from .states import density_of, hadamard_first_register
-from .tolerances import TOL
+from .tolerances import MAX_CLOSED_FORM_BITS, MAX_DENSE_QUBITS, MAX_ORACLE_BITS, MAX_SIM_QUBITS, TOL
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-MAX_DENSE_QUBITS = 5
-MAX_SIM_QUBITS = 11
 SEED_ENV_VAR = "SIMON_COHERENCE_SEED"
 
-MEASURE_FAMILIES = ("tsallis", "l1p", "rel_entropy", "skew_info", "l1")
 DEFAULT_FAMILIES = "tsallis,l1p,rel_entropy,skew_info"
 
 L1_QUARTER_FORM = "N^2/4-1"
@@ -94,29 +91,39 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     return values
 
 
-def _build_panel(families_text: str, alphas: tuple[float, ...], ps: tuple[float, ...]):
+def _build_panel(args) -> tuple[tuple[CoherenceMeasure, ...], dict]:
+    """The panel named by --measures, one entry per --alphas or --ps value of a
+    parametrised family, and the report's config fields that describe it."""
+    values = {"alpha": _parse_floats(args.alphas, "--alphas"), "p": _parse_floats(args.ps, "--ps")}
     panel: list[CoherenceMeasure] = []
     try:
-        for family in (part.strip() for part in families_text.split(",") if part.strip()):
-            if family not in MEASURE_FAMILIES:
-                raise UsageError(
-                    f"unknown measure {family!r}; choose from {', '.join(MEASURE_FAMILIES)}"
-                )
-            if family == "tsallis":
-                panel.extend(measures.tsallis(a) for a in alphas)
-            elif family == "l1p":
-                panel.extend(measures.l1p(p) for p in ps)
-            elif family == "rel_entropy":
-                panel.append(measures.REL_ENTROPY)
-            elif family == "skew_info":
-                panel.append(measures.SKEW_INFO)
+        for kind in (part.strip() for part in args.measures.split(",") if part.strip()):
+            if kind not in FAMILIES:
+                raise UsageError(f"unknown measure {kind!r}; choose from {', '.join(FAMILIES)}")
+            family = FAMILIES[kind]
+            if family is None:
+                panel.append(CoherenceMeasure(kind))
             else:
-                panel.append(measures.L1)
+                panel.extend(CoherenceMeasure(kind, value) for value in values[family[0]])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if not panel:
         raise UsageError("--measures produced an empty panel")
-    return tuple(panel)
+    config = {
+        "alphas": [float(a) for a in values["alpha"]],
+        "ps": [float(p) for p in values["p"]],
+        "measures": [m.label() for m in panel],
+    }
+    return tuple(panel), config
+
+
+def _require_n(n: int | None, cap: int, what: str, flag: str = "--n") -> None:
+    if n is None:
+        raise UsageError(f"{flag} is required")
+    if n < 1:
+        raise UsageError(f"{flag} must be at least 1, got {n}")
+    if n > cap:
+        raise CapabilityError(f"{what} is limited to n <= {cap}, got n={n}")
 
 
 def _parse_mask(s_text: str, n: int) -> int:
@@ -154,40 +161,18 @@ def _load_oracle(args, seed: int) -> SimonFunction:
         return f
     if args.n is None:
         raise UsageError("--n is required when no --function-file is given")
-    _require_sim_size(args.n)
+    _require_n(args.n, MAX_SIM_QUBITS, "state-vector simulation")
     s = _parse_mask(args.s, args.n) if args.s is not None else _random_mask(args.n, seed)
     return _build_oracle(args.n, s, seed)
-
-
-def _require_sim_size(n: int) -> None:
-    if n < 1:
-        raise UsageError(f"--n must be at least 1, got {n}")
-    if n > MAX_SIM_QUBITS:
-        raise CapabilityError(
-            f"state-vector simulation is limited to n <= {MAX_SIM_QUBITS}, got n={n}"
-        )
 
 
 def _dense_enabled(mode: str, n: int) -> bool:
     if mode == "off":
         return False
     if mode == "on":
-        if n > MAX_DENSE_QUBITS:
-            raise CapabilityError(
-                f"dense density-matrix path is limited to n <= {MAX_DENSE_QUBITS}, got n={n}"
-            )
+        _require_n(n, MAX_DENSE_QUBITS, "dense density-matrix path")
         return True
     return n <= MAX_DENSE_QUBITS
-
-
-def _closed_form_value(stage: Stage, measure: CoherenceMeasure, dim: int, s: int) -> float | None:
-    # the oracle stage shares the hadamard-stage value: a basis permutation
-    # cannot change any coherence in the panel
-    if stage in (Stage.HADAMARD, Stage.ORACLE):
-        return closed_forms.hadamard_stage_coherence(dim, measure)
-    if stage == Stage.FINAL_HADAMARD and s != 0:
-        return closed_forms.final_stage_coherence(dim, measure)
-    return None
 
 
 def _measure_json(measure: CoherenceMeasure) -> dict:
@@ -222,11 +207,9 @@ def _stage_sequence(f: SimonFunction, seed: int):
 
 def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
-    alphas = _parse_floats(args.alphas, "--alphas")
-    ps = _parse_floats(args.ps, "--ps")
-    panel = _build_panel(args.measures, alphas, ps)
+    panel, panel_config = _build_panel(args)
     f = _load_oracle(args, seed)
-    _require_sim_size(f.n)
+    _require_n(f.n, MAX_SIM_QUBITS, "state-vector simulation")
     dense_on = _dense_enabled(args.dense, f.n)
     dim = 1 << f.n
 
@@ -239,15 +222,10 @@ def cmd_run(args) -> int:
         values = []
         stage_spread = 0.0
         for measure in panel:
-            by_method: dict[str, float] = {}
-            if dense_on:
-                by_method[METHOD_DENSE] = measures.dense_coherence(rho, measure)
-            by_method[METHOD_PURE] = measures.pure_state_coherence(state, measure)
-            closed = _closed_form_value(stage, measure, dim, f.s)
-            if closed is not None:
-                by_method[METHOD_CLOSED] = closed
+            closed = closed_forms.stage_coherence(stage, dim, f.s, measure)
+            by_method = measures.route_values(state, rho, measure, closed)
             for method, value in by_method.items():
-                values.append(_measure_json(measure) | {"method": method, "value": float(value)})
+                values.append(_measure_json(measure) | {"method": method, "value": value})
             spread = max(by_method.values()) - min(by_method.values())
             stage_spread = max(stage_spread, spread)
             flagged = spread >= TOL.cross_method
@@ -270,9 +248,7 @@ def cmd_run(args) -> int:
             "n": f.n,
             "s": int_to_bits(f.s, f.n),
             "seed": seed,
-            "alphas": [float(a) for a in alphas],
-            "ps": [float(p) for p in ps],
-            "measures": [m.label() for m in panel],
+            **panel_config,
             "format": args.format,
             "function_file": args.function_file,
             "dense": dense_on,
@@ -287,17 +263,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
-    alphas = _parse_floats(args.alphas, "--alphas")
-    ps = _parse_floats(args.ps, "--ps")
-    panel = _build_panel(args.measures, alphas, ps)
-    if args.n is None:
-        raise UsageError("--n is required")
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
-    if args.n > MAX_DENSE_QUBITS:
-        raise CapabilityError(
-            f"verify needs the dense path and is limited to n <= {MAX_DENSE_QUBITS}, got n={args.n}"
-        )
+    panel, panel_config = _build_panel(args)
+    _require_n(args.n, MAX_DENSE_QUBITS, "verify, which needs the dense path,")
     s = _parse_mask(args.s, args.n) if args.s is not None else _random_mask(args.n, seed)
     if s == 0:
         raise UsageError("verify requires a nonzero mask; the final-stage closed forms assume one")
@@ -305,22 +272,15 @@ def cmd_verify(args) -> int:
     dim = 1 << f.n
 
     stages = run_stages(f)
-    checked = [Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD]
-    densities = {stage: density_of(stages[stage]) for stage in checked}
     checks = []
     dense_values = {}
     all_ok = True
-    for stage in checked:
+    for stage in (Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD):
+        rho = density_of(stages[stage])
         for measure in panel:
-            dense_value = measures.dense_coherence(densities[stage], measure)
-            dense_values[stage, measure] = dense_value
-            pure_value = measures.pure_state_coherence(stages[stage], measure)
-            closed_value = _closed_form_value(stage, measure, dim, f.s)
-            values = {
-                METHOD_DENSE: float(dense_value),
-                METHOD_PURE: float(pure_value),
-                METHOD_CLOSED: float(closed_value),
-            }
+            closed = closed_forms.stage_coherence(stage, dim, f.s, measure)
+            values = measures.route_values(stages[stage], rho, measure, closed)
+            dense_values[stage, measure] = values[METHOD_DENSE]
             spread = max(values.values()) - min(values.values())
             ok = spread < TOL.cross_method
             all_ok = all_ok and ok
@@ -358,9 +318,7 @@ def cmd_verify(args) -> int:
             "n": f.n,
             "s": int_to_bits(f.s, f.n),
             "seed": seed,
-            "alphas": [float(a) for a in alphas],
-            "ps": [float(p) for p in ps],
-            "measures": [m.label() for m in panel],
+            **panel_config,
             "format": args.format,
         },
         "checks": checks,
@@ -412,11 +370,11 @@ def _l1_conflict_report(seed: int) -> dict:
 
 def cmd_recover(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.n is None:
-        raise UsageError("--n is required")
-    _require_sim_size(args.n)
+    _require_n(args.n, MAX_SIM_QUBITS, "state-vector simulation")
     if args.trials < 1:
         raise UsageError(f"--trials must be positive, got {args.trials}")
+    if args.max_queries is not None and args.max_queries < 0:
+        raise UsageError(f"--max-queries must not be negative, got {args.max_queries}")
     fixed_mask = _parse_mask(args.s, args.n) if args.s is not None else None
 
     successes = 0
@@ -461,16 +419,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphas = _parse_floats(args.alphas, "--alphas")
-    ps = _parse_floats(args.ps, "--ps")
-    panel = _build_panel(args.measures, alphas, ps)
-    if args.n_max < 1:
-        raise UsageError(f"--n-max must be at least 1, got {args.n_max}")
-    if args.n_max > closed_forms.MAX_CLOSED_FORM_BITS:
-        raise CapabilityError(
-            f"closed forms are exercised up to n = {closed_forms.MAX_CLOSED_FORM_BITS}, "
-            f"got n-max={args.n_max}"
-        )
+    panel, panel_config = _build_panel(args)
+    _require_n(args.n_max, MAX_CLOSED_FORM_BITS, "closed-form sweep", "--n-max")
     rows = []
     for n in range(1, args.n_max + 1):
         dim = 1 << n
@@ -489,9 +439,7 @@ def cmd_sweep(args) -> int:
         "config": {
             "command": "sweep",
             "n_max": args.n_max,
-            "alphas": [float(a) for a in alphas],
-            "ps": [float(p) for p in ps],
-            "measures": [m.label() for m in panel],
+            **panel_config,
             "format": args.format,
         },
         "rows": rows,
@@ -502,10 +450,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen_oracle(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.n is None:
-        raise UsageError("--n is required")
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
+    _require_n(args.n, MAX_ORACLE_BITS, "oracle generation")
     s = _parse_mask(args.s, args.n) if args.s is not None else _random_mask(args.n, seed)
     f = _build_oracle(args.n, s, seed)
     _emit(format_function_table(f), args.output)
@@ -548,7 +493,10 @@ def _format_scalar(value) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -564,7 +512,7 @@ def _add_common(parser, *, n_flag=True, seed=True, panel=True, fmt=True) -> None
         parser.add_argument(
             "--measures",
             default=DEFAULT_FAMILIES,
-            help=f"comma-separated families from {{{','.join(MEASURE_FAMILIES)}}}",
+            help=f"comma-separated families from {{{','.join(FAMILIES)}}}",
         )
     if fmt:
         parser.add_argument("--format", choices=("json", "csv"), default="json")

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DEFAULT_PANEL, CoherenceMeasure
-from .tolerances import TOL
+from .simon import Stage
+from .tolerances import MAX_CLOSED_FORM_BITS, TOL
 
 __all__ = [
-    "REGIME_PANEL",
     "REGIME_PRODUCTION",
     "REGIME_NEUTRAL",
     "REGIME_DEPLETION",
@@ -36,16 +36,14 @@ __all__ = [
     "hadamard_stage_coherence",
     "final_stage_coherence",
     "final_stage_l1_candidates",
+    "stage_coherence",
     "coherence_delta",
     "classify_regime",
 ]
 
-REGIME_PANEL: tuple[CoherenceMeasure, ...] = DEFAULT_PANEL
 REGIME_PRODUCTION = "production"
 REGIME_NEUTRAL = "neutral"
 REGIME_DEPLETION = "depletion"
-
-MAX_CLOSED_FORM_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -127,6 +125,20 @@ def final_stage_l1_candidates(dim: int) -> dict[str, float]:
     return {"quarter_form": n * n / 4.0 - 1.0, "half_form": n * n / 2.0 - 1.0}
 
 
+def stage_coherence(stage: Stage, dim: int, s: int, measure: CoherenceMeasure) -> float | None:
+    """Closed form at a circuit stage for mask ``s``, or None where the stage has none.
+
+    The oracle stage shares the hadamard-stage value: a basis permutation
+    cannot change any coherence in the panel.  The final stage has a closed
+    form only for a nonzero mask.
+    """
+    if stage in (Stage.HADAMARD, Stage.ORACLE):
+        return hadamard_stage_coherence(dim, measure)
+    if stage == Stage.FINAL_HADAMARD and s != 0:
+        return final_stage_coherence(dim, measure)
+    return None
+
+
 def coherence_delta(dim: int, measure: CoherenceMeasure) -> float:
     """Coherence change across the oracle plus second Hadamard layer."""
     return final_stage_coherence(dim, measure) - hadamard_stage_coherence(dim, measure)
@@ -138,7 +150,7 @@ def classify_regime(dim: int, band: float = TOL.neutral_band) -> RegimeVerdict:
     The panel must agree: all deltas above +band, all below -band, or all
     inside the band.  Mixed signs indicate an internal inconsistency.
     """
-    deltas = {measure: coherence_delta(dim, measure) for measure in REGIME_PANEL}
+    deltas = {measure: coherence_delta(dim, measure) for measure in DEFAULT_PANEL}
     values = np.array(list(deltas.values()))
     if (values > band).all():
         regime = REGIME_PRODUCTION

@@ -11,14 +11,17 @@ invariant under basis relabeling:
 * Skew-information coherence ``1 - sum_j <j|sqrt(rho)|j>^2``.
 * l_1 coherence, the sum of off-diagonal magnitudes.
 
-Dense-path functions take a density matrix; ``pure_state_coherence``
-evaluates the same quantities directly from pure-state amplitudes.
+``FAMILIES`` names each kind with its parameter.  Dense-path functions take
+a density matrix; ``pure_state_coherence`` evaluates the same quantities
+directly from pure-state amplitudes, and ``route_values`` gathers every
+route's value for one measure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +29,8 @@ from .states import StateVector, matrix_power, require_alpha
 from .tolerances import TOL
 
 __all__ = [
+    "FAMILIES",
     "CoherenceMeasure",
-    "CoherenceValue",
     "tsallis",
     "l1p",
     "REL_ENTROPY",
@@ -45,18 +48,27 @@ __all__ = [
     "l1_coherence",
     "dense_coherence",
     "pure_state_coherence",
+    "route_values",
 ]
 
 METHOD_DENSE = "dense"
 METHOD_PURE = "pure_fast"
 METHOD_CLOSED = "closed_form"
 
-_KINDS = ("tsallis", "l1p", "rel_entropy", "skew_info", "l1")
-
 
 def _require_p(p: float) -> None:
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"p must lie in [1, 2], got {p}")
+
+
+# kind -> (parameter name, range check), or None for a kind without a parameter
+FAMILIES: dict[str, tuple[str, Callable[[float], None]] | None] = {
+    "tsallis": ("alpha", require_alpha),
+    "l1p": ("p", _require_p),
+    "rel_entropy": None,
+    "skew_info": None,
+    "l1": None,
+}
 
 
 @dataclass(frozen=True)
@@ -67,32 +79,25 @@ class CoherenceMeasure:
     param: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "tsallis":
-            if self.param is None:
-                raise ValueError("tsallis needs an order alpha")
-            require_alpha(float(self.param))
-        elif self.kind == "l1p":
-            if self.param is None:
-                raise ValueError("l1p needs an exponent p")
-            _require_p(float(self.param))
-        elif self.param is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+        family = FAMILIES[self.kind]
+        if family is None:
+            if self.param is not None:
+                raise ValueError(f"{self.kind} takes no parameter")
+            return
+        name, check = family
+        if self.param is None:
+            raise ValueError(f"{self.kind} needs a parameter {name}")
+        check(float(self.param))
 
     def label(self) -> str:
-        if self.kind == "tsallis":
-            return f"tsallis(alpha={self.param:g})"
-        if self.kind == "l1p":
-            return f"l1p(p={self.param:g})"
-        return self.kind
+        family = FAMILIES[self.kind]
+        return self.kind if family is None else f"{self.kind}({family[0]}={self.param:g})"
 
     def params_dict(self) -> dict[str, float]:
-        if self.kind == "tsallis":
-            return {"alpha": float(self.param)}
-        if self.kind == "l1p":
-            return {"p": float(self.param)}
-        return {}
+        family = FAMILIES[self.kind]
+        return {} if family is None else {family[0]: float(self.param)}
 
 
 def tsallis(alpha: float) -> CoherenceMeasure:
@@ -115,19 +120,6 @@ DEFAULT_PANEL: tuple[CoherenceMeasure, ...] = (
     REL_ENTROPY,
     SKEW_INFO,
 )
-
-
-@dataclass(frozen=True)
-class CoherenceValue:
-    """A computed coherence together with the route that produced it."""
-
-    measure: CoherenceMeasure
-    method: str
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.method not in (METHOD_DENSE, METHOD_PURE, METHOD_CLOSED):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def _clamp(value: float) -> float:
@@ -235,6 +227,23 @@ def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasur
         return _clamp(1.0 - float((probs**2).sum()))
     total = mags.sum()
     return _clamp(float(total * total - probs.sum()))
+
+
+def route_values(
+    psi: StateVector, rho: np.ndarray | None, measure: CoherenceMeasure, closed: float | None
+) -> dict[str, float]:
+    """The measure by every route that applies, keyed by method in report order.
+
+    ``rho`` is the density matrix of ``psi``, or None to skip the dense route;
+    ``closed`` is the closed-form value, or None where the stage has none.
+    """
+    values = {}
+    if rho is not None:
+        values[METHOD_DENSE] = dense_coherence(rho, measure)
+    values[METHOD_PURE] = pure_state_coherence(psi, measure)
+    if closed is not None:
+        values[METHOD_CLOSED] = closed
+    return values
 
 
 def _shannon_bits(weights: np.ndarray) -> float:

@@ -19,6 +19,7 @@ from .states import (
     hadamard_first_register,
     second_register_distribution,
 )
+from .tolerances import MAX_ORACLE_BITS
 
 __all__ = [
     "Stage",
@@ -36,8 +37,6 @@ __all__ = [
     "format_function_table",
     "parse_function_table",
 ]
-
-MAX_ORACLE_BITS = 20
 
 
 def bits_to_int(bits: str) -> int:

@@ -177,7 +177,7 @@ def matrix_power(rho: np.ndarray, alpha: float) -> np.ndarray:
     rho = _as_float_matrix(rho)
     _require_square(rho)
     if is_rank_one(rho):
-        return rho.copy()
+        return rho
     system = hermitian_eig(rho)
     floored = np.where(system.eigenvalues > TOL.eigenvalue_floor, system.eigenvalues, 0.0)
     powered = np.where(floored > 0.0, floored, 1.0) ** alpha

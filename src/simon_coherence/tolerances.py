@@ -1,4 +1,4 @@
-"""Numerical tolerances shared across the package."""
+"""Numerical tolerances and size caps shared across the package."""
 
 from __future__ import annotations
 
@@ -18,10 +18,14 @@ class Tolerances:
     rank_one: float = 1e-10             # purity within this of 1 triggers pure shortcuts
     coherence_clamp: float = 1e-10      # negative roundoff clamped to 0 down to -this
     cross_method: float = 1e-9          # dense vs pure vs closed-form agreement
-    reconstruction: float = 1e-9        # V diag(w) V^dagger rebuild error
     tsallis_limit_window: float = 1e-9  # |alpha - 1| inside this delegates to the log form
     neutral_band: float = 1e-12         # |delta| inside this classifies as neutral
-    amplitude_match: float = 1e-12      # entrywise state comparisons
 
 
 TOL = Tolerances()
+
+# Largest register size n each route accepts.
+MAX_ORACLE_BITS = 20       # function tables and generated oracles: 2^n entries
+MAX_CLOSED_FORM_BITS = 20  # closed forms, checked up to dimension 2^n
+MAX_SIM_QUBITS = 11        # joint state vector of 2^(2n) amplitudes
+MAX_DENSE_QUBITS = 5       # dense 2^(2n) x 2^(2n) density matrix

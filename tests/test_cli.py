@@ -240,6 +240,20 @@ def test_recover_argument_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_recover_rejects_negative_query_budget(capsys):
+    code, out, err = run_cli(
+        capsys, ["recover", "--n", "3", "--trials", "2", "--seed", "0", "--max-queries", "-5"]
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert "--max-queries" in err
+    # one qubit needs no query: its only nonzero mask is 1
+    code, doc = run_json(
+        capsys, ["recover", "--n", "1", "--trials", "2", "--seed", "0", "--max-queries", "0"]
+    )
+    assert code == EXIT_OK
+    assert doc["success_rate"] == 1.0
+
+
 # ----------------------------------------------------------------------- sweep
 
 
@@ -289,6 +303,13 @@ def test_gen_oracle_output_parses(capsys):
     assert out == again
 
 
+def test_gen_oracle_cap_is_a_capability_error(capsys):
+    code, out, err = run_cli(capsys, ["gen-oracle", "--n", "21", "--seed", "0"])
+    assert code == EXIT_CAPABILITY and out == ""
+    assert "oracle generation is limited to n <= 20" in err
+    assert "Traceback" not in err
+
+
 def test_gen_oracle_bijection(capsys):
     code, out, _ = run_cli(capsys, ["gen-oracle", "--n", "2", "--s", "00", "--seed", "0"])
     assert code == EXIT_OK
@@ -322,6 +343,17 @@ def test_output_file(capsys, tmp_path):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(target.read_text())["config"]["s"] == "11"
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--n", "2", "--s", "11"], ["gen-oracle", "--n", "2", "--s", "11"]]
+)
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, argv + ["--seed", "7", "--output", str(target)])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_usage_errors(capsys):

@@ -8,7 +8,6 @@ from simon_coherence import (
     L1,
     REGIME_DEPLETION,
     REGIME_NEUTRAL,
-    REGIME_PANEL,
     REGIME_PRODUCTION,
     Stage,
     classify_regime,
@@ -20,6 +19,7 @@ from simon_coherence import (
     hadamard_stage_coherence,
     l1p,
     run_stages,
+    stage_coherence,
     tsallis,
     uniform_superposition_coherence,
 )
@@ -32,26 +32,26 @@ SPOT_CHECK_MEASURES = DEFAULT_PANEL + (L1, tsallis(0.3), tsallis(1.3), l1p(1.5))
 
 def test_hadamard_stage_known_values():
     assert hadamard_stage_coherence(4, tsallis(0.5)) == 1.5
-    assert hadamard_stage_coherence(4, REGIME_PANEL[4]) == 2.0  # rel_entropy
-    assert hadamard_stage_coherence(4, REGIME_PANEL[5]) == 0.75  # skew_info
+    assert hadamard_stage_coherence(4, DEFAULT_PANEL[4]) == 2.0  # rel_entropy
+    assert hadamard_stage_coherence(4, DEFAULT_PANEL[5]) == 0.75  # skew_info
     assert hadamard_stage_coherence(4, L1) == 3.0
     assert hadamard_stage_coherence(8, L1) == 7.0
-    assert hadamard_stage_coherence(8, REGIME_PANEL[5]) == 0.875
+    assert hadamard_stage_coherence(8, DEFAULT_PANEL[5]) == 0.875
     assert abs(hadamard_stage_coherence(8, l1p(2.0)) - math.sqrt(7.0)) < 1e-15
 
 
 def test_final_stage_known_values():
     assert final_stage_coherence(4, L1) == 3.0
     assert final_stage_coherence(8, L1) == 15.0
-    assert final_stage_coherence(8, REGIME_PANEL[4]) == 4.0
-    assert final_stage_coherence(8, REGIME_PANEL[5]) == 0.9375
-    assert final_stage_coherence(4, REGIME_PANEL[4]) == 2.0
+    assert final_stage_coherence(8, DEFAULT_PANEL[4]) == 4.0
+    assert final_stage_coherence(8, DEFAULT_PANEL[5]) == 0.9375
+    assert final_stage_coherence(4, DEFAULT_PANEL[4]) == 2.0
     assert abs(final_stage_coherence(8, l1p(2.0)) - math.sqrt(15.0)) < 1e-15
 
 
 def test_worked_example_deltas_at_eight():
-    assert coherence_delta(8, REGIME_PANEL[5]) == 0.9375 - 0.875  # 1/16
-    assert coherence_delta(8, REGIME_PANEL[4]) == 1.0
+    assert coherence_delta(8, DEFAULT_PANEL[5]) == 0.9375 - 0.875  # 1/16
+    assert coherence_delta(8, DEFAULT_PANEL[4]) == 1.0
     assert coherence_delta(8, L1) == 8.0
 
 
@@ -103,7 +103,7 @@ def test_rel_entropy_delta_is_exact_log():
     # log2(N^2/4) - log2(N) = log2(N / 4): exact in floats for powers of two
     for n in range(1, 21):
         dim = 1 << n
-        assert coherence_delta(dim, REGIME_PANEL[4]) == float(n - 2)
+        assert coherence_delta(dim, DEFAULT_PANEL[4]) == float(n - 2)
 
 
 def test_dense_simulation_agrees_with_closed_forms(f_three_qubit):
@@ -115,6 +115,20 @@ def test_dense_simulation_agrees_with_closed_forms(f_three_qubit):
         got_f = dense_coherence(density_of(stages[Stage.FINAL_HADAMARD]), measure)
         assert abs(got_h - want_h) < 1e-9, measure.label()
         assert abs(got_f - want_f) < 1e-9, measure.label()
+
+
+def test_stage_coherence_picks_the_form_of_each_stage():
+    for measure in SPOT_CHECK_MEASURES:
+        hadamard = hadamard_stage_coherence(8, measure)
+        assert stage_coherence(Stage.HADAMARD, 8, 0b110, measure) == hadamard
+        assert stage_coherence(Stage.ORACLE, 8, 0b110, measure) == hadamard
+        assert stage_coherence(Stage.ORACLE, 8, 0, measure) == hadamard
+        assert stage_coherence(Stage.FINAL_HADAMARD, 8, 0b110, measure) == final_stage_coherence(
+            8, measure
+        )
+        assert stage_coherence(Stage.FINAL_HADAMARD, 8, 0, measure) is None
+        assert stage_coherence(Stage.INITIAL, 8, 0b110, measure) is None
+        assert stage_coherence(Stage.POST_MEASURE, 8, 0b110, measure) is None
 
 
 # ------------------------------------------------------------ l1 candidates
@@ -153,7 +167,7 @@ def test_regime_thresholds():
 def test_neutral_dimension_deltas_are_exactly_zero():
     verdict = classify_regime(4)
     assert verdict.dim == 4
-    assert set(verdict.deltas) == set(REGIME_PANEL)
+    assert set(verdict.deltas) == set(DEFAULT_PANEL)
     for measure, delta in verdict.deltas.items():
         assert delta == 0.0, measure.label()
 

@@ -19,6 +19,15 @@ GOLDEN_ARGV = {
     "recover_n6.json": ["recover", "--n", "6", "--trials", "10", "--seed", "3"],
     "gen_oracle_n4.txt": ["gen-oracle", "--n", "4", "--s", "0110", "--seed", "1"],
     "run_n4_dense_off.json": ["run", "--n", "4", "--s", "1010", "--seed", "2", "--dense", "off"],
+    # Dense fixtures leave rel_entropy out: its dense value comes from the BLAS
+    # eigensolver, whose last bits depend on the CPU kernel it dispatches to.
+    "run_n3_dense.json": [
+        "run", "--n", "3", "--s", "110", "--seed", "2", "--measures", "tsallis,l1p,skew_info,l1",
+    ],
+    "verify_n3.csv": [
+        "verify", "--n", "3", "--s", "101", "--seed", "5",
+        "--measures", "tsallis,l1p,skew_info,l1", "--format", "csv",
+    ],
 }
 
 

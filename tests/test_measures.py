@@ -9,6 +9,7 @@ from scipy.linalg import fractional_matrix_power
 from conftest import random_amplitudes, random_mixed_density, real_mixed_density
 from simon_coherence import (
     DEFAULT_PANEL,
+    FAMILIES,
     L1,
     METHOD_CLOSED,
     METHOD_DENSE,
@@ -16,7 +17,6 @@ from simon_coherence import (
     REL_ENTROPY,
     SKEW_INFO,
     CoherenceMeasure,
-    CoherenceValue,
     TOL,
     Stage,
     StateVector,
@@ -29,6 +29,7 @@ from simon_coherence import (
     pure_state_coherence,
     random_two_to_one,
     relative_entropy_coherence,
+    route_values,
     run_stages,
     skew_information_coherence,
     tsallis,
@@ -99,12 +100,32 @@ def test_default_panel_composition():
     assert [m.param for m in DEFAULT_PANEL[:4]] == [0.5, 2.0, 1.0, 2.0]
 
 
-def test_coherence_value_rejects_unknown_method():
-    CoherenceValue(L1, METHOD_DENSE, 1.0)
-    CoherenceValue(L1, METHOD_PURE, 1.0)
-    CoherenceValue(L1, METHOD_CLOSED, 1.0)
-    with pytest.raises(ValueError):
-        CoherenceValue(L1, "guesswork", 1.0)
+def test_families_table_drives_parameters():
+    assert list(FAMILIES) == ["tsallis", "l1p", "rel_entropy", "skew_info", "l1"]
+    for kind, family in FAMILIES.items():
+        if family is None:
+            assert CoherenceMeasure(kind).params_dict() == {}
+            with pytest.raises(ValueError, match="takes no parameter"):
+                CoherenceMeasure(kind, 1.5)
+        else:
+            name, _ = family
+            assert CoherenceMeasure(kind, 1.5).params_dict() == {name: 1.5}
+            assert CoherenceMeasure(kind, 1.5).label() == f"{kind}({name}=1.5)"
+            with pytest.raises(ValueError, match=name):
+                CoherenceMeasure(kind)
+    assert FAMILIES["tsallis"][0] == "alpha" and FAMILIES["l1p"][0] == "p"
+
+
+def test_route_values_keys_follow_report_order():
+    psi = run_stages(random_two_to_one(2, 0b11, 4))[Stage.FINAL_HADAMARD]
+    rho = density_of(psi)
+    values = route_values(psi, rho, L1, 3.0)
+    assert list(values) == [METHOD_DENSE, METHOD_PURE, METHOD_CLOSED]
+    assert values[METHOD_DENSE] == l1_coherence(rho)
+    assert values[METHOD_PURE] == pure_state_coherence(psi, L1)
+    assert values[METHOD_CLOSED] == 3.0
+    assert all(type(value) is float for value in values.values())
+    assert list(route_values(psi, None, L1, None)) == [METHOD_PURE]
 
 
 # ---------------------------------------------------------------- fixed values

@@ -234,9 +234,12 @@ def test_hermitian_eig_rejects_non_hermitian():
 
 def test_matrix_power_rank_one_shortcut():
     rng = np.random.default_rng(2)
-    rho = random_pure_density(rng, 8)
-    for alpha in (0.3, 0.5, 1.7, 2.0):
-        assert np.array_equal(matrix_power(rho, alpha), rho)
+    amps = rng.standard_normal(16)
+    real_rho = np.outer(amps, amps) / (amps @ amps)
+    for rho in (random_pure_density(rng, 8), real_rho):
+        for alpha in (0.3, 0.5, 1.7, 2.0):
+            # a pure state is its own power: returned as-is, not copied
+            assert matrix_power(rho, alpha) is rho
 
 
 def test_matrix_power_diagonal_squares():
