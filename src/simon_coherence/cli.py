@@ -109,6 +109,9 @@ def _build_panel(args) -> tuple[tuple[CoherenceMeasure, ...], dict]:
         raise UsageError(str(exc)) from None
     if not panel:
         raise UsageError("--measures produced an empty panel")
+    for i, measure in enumerate(panel):
+        if measure in panel[:i]:
+            raise UsageError(f"panel repeats {measure.label()}; name each measure and value once")
     config = {
         "alphas": [float(a) for a in values["alpha"]],
         "ps": [float(p) for p in values["p"]],

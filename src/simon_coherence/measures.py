@@ -40,7 +40,6 @@ __all__ = [
     "METHOD_DENSE",
     "METHOD_PURE",
     "METHOD_CLOSED",
-    "lqp_norm",
     "tsallis_coherence",
     "l1p_coherence",
     "relative_entropy_coherence",
@@ -129,18 +128,6 @@ def _clamp(value: float) -> float:
     return 0.0 if value <= 0.0 else float(value)
 
 
-def lqp_norm(matrix: np.ndarray, q: float, p: float) -> float:
-    """l_q norm over columns of column-wise l_p norms: general utility, q, p >= 1."""
-    if q < 1.0 or p < 1.0:
-        raise ValueError(f"q and p must be at least 1, got q={q}, p={p}")
-    return _lqp_of_magnitudes(np.abs(np.asarray(matrix)), q, p)
-
-
-def _lqp_of_magnitudes(mags: np.ndarray, q: float, p: float) -> float:
-    column_norms = (mags**p).sum(axis=0) ** (1.0 / p)
-    return float((column_norms**q).sum() ** (1.0 / q))
-
-
 def tsallis_coherence(rho: np.ndarray, alpha: float) -> float:
     """Tsallis relative-entropy coherence of order alpha.
 
@@ -158,11 +145,18 @@ def tsallis_coherence(rho: np.ndarray, alpha: float) -> float:
 
 
 def l1p_coherence(rho: np.ndarray, p: float) -> float:
-    """l_{1,p} coherence: lqp_norm of rho with its diagonal removed, q = 1."""
+    """l_{1,p} coherence: the sum over columns of the column-wise l_p norms of
+    rho with its diagonal removed.
+
+    Works on one magnitude matrix, zeroed on the diagonal and raised to p in
+    place, so a stage allocates no second full matrix.
+    """
     _require_p(p)
     mags = np.abs(np.asarray(rho))
     np.fill_diagonal(mags, 0.0)
-    return _clamp(_lqp_of_magnitudes(mags, 1.0, p))
+    mags **= p
+    column_norms = mags.sum(axis=0) ** (1.0 / p)
+    return _clamp(float(column_norms.sum()))
 
 
 def relative_entropy_coherence(rho: np.ndarray) -> float:
@@ -203,7 +197,7 @@ def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasur
 
     Agrees with the dense path on |psi><psi| within TOL.cross_method.
     """
-    amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi, dtype=np.complex128)
+    amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
     mags = np.abs(amps.reshape(-1))
     probs = mags**2
     kind = measure.kind

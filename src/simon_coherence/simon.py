@@ -89,13 +89,6 @@ class SimonFunction:
     def __call__(self, x: int) -> int:
         return int(self.table[x])
 
-    def coset_representatives(self) -> list[int]:
-        """Lexicographically smaller member of each pair {x, x ^ s}; requires s != 0."""
-        if self.s == 0:
-            raise ValueError("a bijection has no input pairs")
-        xs = np.arange(1 << self.n)
-        return [int(x) for x in xs[xs < (xs ^ self.s)]]
-
 
 def random_two_to_one(n: int, s: int, seed) -> SimonFunction:
     """Uniform random two-to-one table with pairing mask s (nonzero).

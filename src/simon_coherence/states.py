@@ -17,25 +17,25 @@ from .tolerances import TOL
 
 __all__ = [
     "StateVector",
-    "EigenSystem",
     "basis_state",
-    "tensor",
     "hadamard_first_register",
     "density_of",
-    "dephase",
     "purity",
     "is_rank_one",
     "hermitian_eig",
     "matrix_power",
     "first_register_distribution",
     "second_register_distribution",
-    "validate_density_matrix",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitudes over the joint register basis."""
+    """Normalized amplitudes over the joint register basis.
+
+    Real amplitudes are held in float64, as at every stage of the Simon
+    circuit; complex amplitudes in complex128.
+    """
 
     n_first: int
     n_second: int
@@ -46,7 +46,7 @@ class StateVector:
             raise ValueError("register sizes must be nonnegative")
         if self.n_first + self.n_second == 0:
             raise ValueError("need at least one qubit")
-        amps = np.ascontiguousarray(np.asarray(self.amps, dtype=np.complex128).reshape(-1))
+        amps = np.ascontiguousarray(_as_float_array(self.amps).reshape(-1))
         object.__setattr__(self, "amps", amps)
         dim = 1 << (self.n_first + self.n_second)
         if amps.size != dim:
@@ -65,14 +65,9 @@ def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
     dim = 1 << (n_first + n_second)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(dim)
     amps[index] = 1.0
     return StateVector(n_first, n_second, amps)
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Product state with a's qubits as the first register, b's as the second."""
-    return StateVector(a.n_first + a.n_second, b.n_first + b.n_second, np.kron(a.amps, b.amps))
 
 
 def hadamard_first_register(psi: StateVector) -> StateVector:
@@ -96,26 +91,20 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
         a[:, 1, :] = top - bottom
         a = a.reshape(rows, cols)
         h *= 2
-    a /= math.sqrt(rows)
+    # multiply by the rounded reciprocal, as numpy divides complex by real, so a
+    # real state and its complex copy scale to the same bits
+    a *= 1.0 / math.sqrt(rows)
     return StateVector(psi.n_first, psi.n_second, a.reshape(-1))
 
 
 def density_of(psi: StateVector) -> np.ndarray:
-    """Rank-one density matrix |psi><psi|.
+    """Rank-one density matrix |psi><psi| in the dtype of the amplitudes.
 
-    When no amplitude has an imaginary part, as at every stage of the Simon
-    circuit, the matrix is the real symmetric float64 outer product, and the
-    dense route downstream runs in real arithmetic.  Otherwise it is complex128.
+    A real state, as at every stage of the Simon circuit, gives the real
+    symmetric float64 outer product, and the dense route downstream runs in
+    real arithmetic.  A complex state gives a complex128 matrix.
     """
-    amps = psi.amps
-    if not amps.imag.any():
-        amps = amps.real
-    return np.outer(amps, amps.conj())
-
-
-def dephase(rho: np.ndarray) -> np.ndarray:
-    """Zero every off-diagonal entry; the diagonal is preserved exactly."""
-    return np.diag(np.diag(np.asarray(rho)))
+    return np.outer(psi.amps, psi.amps.conj())
 
 
 def purity(rho: np.ndarray) -> float:
@@ -129,41 +118,24 @@ def is_rank_one(rho: np.ndarray) -> bool:
     return purity(rho) >= 1.0 - TOL.rank_one
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Eigenvalues ascending; eigenvectors as matching orthonormal columns."""
+def hermitian_eig(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues ascending, orthonormal eigenvector columns) of a Hermitian matrix.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(rho: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
-
-    Columns are phased so the first component above the eigenvalue floor is
-    real and positive, making repeated runs byte-for-byte reproducible.  A
-    real symmetric input stays in float64 (real eigenvectors, signs fixed the
-    same way); anything else is computed in complex128.
+    Column phases are whatever LAPACK returns; ``matrix_power`` does not
+    depend on them.  A real symmetric input stays in float64; anything else is
+    computed in complex128.
     """
-    rho = _as_float_matrix(rho)
+    rho = _as_float_array(rho)
     _require_square(rho)
     herm = float(np.abs(rho - rho.conj().T).max())
     if herm > TOL.hermiticity:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
     try:
-        values, vectors = np.linalg.eigh(rho)
+        return np.linalg.eigh(rho)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"eigendecomposition failed to converge for {rho.shape[0]}x{rho.shape[0]} matrix"
         ) from exc
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > TOL.eigenvalue_floor)
-        if nonzero.size:
-            lead = col[nonzero[0]]
-            vectors[:, j] = col * (abs(lead) / lead)
-    return EigenSystem(values, vectors)
 
 
 def matrix_power(rho: np.ndarray, alpha: float) -> np.ndarray:
@@ -174,15 +146,15 @@ def matrix_power(rho: np.ndarray, alpha: float) -> np.ndarray:
     powered in float64 arithmetic, complex input in complex128.
     """
     require_alpha(alpha)
-    rho = _as_float_matrix(rho)
+    rho = _as_float_array(rho)
     _require_square(rho)
     if is_rank_one(rho):
         return rho
-    system = hermitian_eig(rho)
-    floored = np.where(system.eigenvalues > TOL.eigenvalue_floor, system.eigenvalues, 0.0)
+    values, vectors = hermitian_eig(rho)
+    floored = np.where(values > TOL.eigenvalue_floor, values, 0.0)
     powered = np.where(floored > 0.0, floored, 1.0) ** alpha
     powered = np.where(floored > 0.0, powered, 0.0)
-    return (system.eigenvectors * powered) @ system.eigenvectors.conj().T
+    return (vectors * powered) @ vectors.conj().T
 
 
 def require_alpha(alpha: float) -> None:
@@ -203,25 +175,9 @@ def second_register_distribution(psi: StateVector) -> np.ndarray:
     return mags.sum(axis=0)
 
 
-def validate_density_matrix(rho: np.ndarray, check_psd: bool = False) -> None:
-    """Raise ValueError unless rho is Hermitian with unit trace (and PSD if asked)."""
-    rho = np.asarray(rho)
-    _require_square(rho)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > TOL.hermiticity:
-        raise ValueError(f"not Hermitian: max asymmetry {herm:.3e}")
-    trace_err = abs(complex(np.trace(rho)) - 1.0)
-    if trace_err > TOL.trace:
-        raise ValueError(f"trace differs from 1 by {trace_err:.3e}")
-    if check_psd:
-        smallest = float(np.linalg.eigvalsh(rho).min())
-        if smallest < -TOL.psd:
-            raise ValueError(f"negative eigenvalue {smallest:.3e} below -{TOL.psd}")
-
-
-def _as_float_matrix(rho: np.ndarray) -> np.ndarray:
+def _as_float_array(values) -> np.ndarray:
     """float64 for real input, complex128 for complex input."""
-    return np.asarray(rho, dtype=np.complex128 if np.iscomplexobj(rho) else np.float64)
+    return np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
 
 
 def _require_square(rho: np.ndarray) -> None:

@@ -366,6 +366,25 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, ["run", "--n", "0", "--seed", "0"])[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [["run", "--n", "2", "--s", "11"], ["verify", "--n", "2"],
+                                     ["sweep", "--n-max", "3"]])
+@pytest.mark.parametrize("panel", [["--measures", "l1,l1"], ["--measures", "l1p,rel_entropy,l1p"],
+                                   ["--measures", "tsallis", "--alphas", "0.5,0.50"],
+                                   ["--measures", "l1p", "--ps", "2,1,2"]])
+def test_repeated_panel_entries_are_usage_errors(capsys, command, panel):
+    code, out, err = run_cli(capsys, command + ["--seed", "0"] * (command[0] != "sweep") + panel)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "repeats" in err
+
+
+def test_unused_repeated_values_do_not_repeat_the_panel(capsys):
+    # --alphas only parametrises tsallis, which this panel leaves out
+    code, _, _ = run_cli(capsys, ["run", "--n", "2", "--s", "11", "--seed", "0",
+                                  "--measures", "l1", "--alphas", "0.5,0.5"])
+    assert code == EXIT_OK
+
+
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, ["--help"])[0] == EXIT_OK
     assert run_cli(capsys, ["run", "--help"])[0] == EXIT_OK

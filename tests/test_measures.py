@@ -25,7 +25,6 @@ from simon_coherence import (
     l1_coherence,
     l1p,
     l1p_coherence,
-    lqp_norm,
     pure_state_coherence,
     random_two_to_one,
     relative_entropy_coherence,
@@ -182,22 +181,17 @@ def test_tsallis_matches_fractional_power_oracle():
             assert abs(tsallis_coherence(rho, alpha) - expected) < 1e-9
 
 
-def test_lqp_norm_brute_force():
+def test_l1p_coherence_brute_force():
     rng = np.random.default_rng(23)
-    matrix = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    for q, p in ((1.0, 1.0), (1.0, 1.5), (1.0, 2.0), (2.0, 2.0)):
+    rho = random_mixed_density(rng, 5)
+    for p in (1.0, 1.5, 2.0):
         columns = [
-            sum(abs(matrix[i, j]) ** p for i in range(5)) ** (1.0 / p) for j in range(5)
+            sum(abs(rho[i, j]) ** p for i in range(5) if i != j) ** (1.0 / p) for j in range(5)
         ]
-        expected = sum(c**q for c in columns) ** (1.0 / q)
-        assert abs(lqp_norm(matrix, q, p) - expected) < 1e-12
-
-
-def test_lqp_norm_rejects_exponents_below_one():
-    with pytest.raises(ValueError):
-        lqp_norm(np.eye(2), 0.5, 1.0)
-    with pytest.raises(ValueError):
-        lqp_norm(np.eye(2), 1.0, 0.5)
+        assert abs(l1p_coherence(rho, p) - sum(columns)) < 1e-12
+    for p in (0.5, 2.5):
+        with pytest.raises(ValueError):
+            l1p_coherence(rho, p)
 
 
 def test_relative_entropy_against_direct_spectrum():

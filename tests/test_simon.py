@@ -9,6 +9,7 @@ from simon_coherence import (
     FunctionTableError,
     SimonFunction,
     Stage,
+    StateVector,
     bits_to_int,
     dot_mod2,
     format_function_table,
@@ -30,7 +31,8 @@ def interference_expected(f: SimonFunction) -> np.ndarray:
     n, size = f.n, 1 << f.n
     amps = np.zeros(size * size, dtype=complex)
     weight = 1.0 / 2 ** (n - 1)
-    for x in f.coset_representatives():
+    # the smaller member x of each input pair {x, x ^ s}
+    for x in (x for x in range(size) if x < x ^ f.s):
         for y in range(size):
             if dot_mod2(y, f.s) == 0:
                 amps[(y << n) | f(x)] += (-1) ** dot_mod2(x, y) * weight
@@ -246,6 +248,23 @@ def test_final_stage_matches_coset_sum_reconstruction():
             f = random_two_to_one(n, s, int(rng.integers(2**31)))
             final = run_stages(f)[Stage.FINAL_HADAMARD]
             assert np.abs(final.amps - interference_expected(f)).max() < 1e-12
+
+
+def test_circuit_states_are_real_and_complex_states_stay_complex():
+    for f in (random_two_to_one(3, 0b101, 4), random_bijection(3, 4)):
+        stages = run_stages(f)
+        _, collapsed = measure_second_register(stages[Stage.FINAL_HADAMARD], f, 0)
+        for psi in list(stages.values()) + [collapsed]:
+            assert psi.amps.dtype == np.float64
+    complex_state = StateVector(1, 1, np.array([0.5, 0.5j, -0.5, 0.5]))
+    assert complex_state.amps.dtype == np.complex128
+    assert hadamard_first_register(complex_state).amps.dtype == np.complex128
+    # a real state and its complex copy go through the Hadamard layer to the same bits
+    oracle = run_stages(random_two_to_one(3, 0b011, 5))[Stage.ORACLE]
+    real_final = hadamard_first_register(oracle).amps
+    complex_final = hadamard_first_register(StateVector(3, 3, oracle.amps.astype(complex))).amps
+    assert real_final.tobytes() == complex_final.real.tobytes()
+    assert not complex_final.imag.any()
 
 
 def test_final_stage_support_and_magnitude():
