@@ -181,7 +181,8 @@ def test_tsallis_matches_fractional_power_oracle():
             assert abs(tsallis_coherence(rho, alpha) - expected) < 1e-9
 
 
-def test_l1p_coherence_brute_force():
+def test_lqp_norm_brute_force():
+    # l1p_coherence is the l_{q,p} norm at q = 1 of rho with its diagonal removed
     rng = np.random.default_rng(23)
     rho = random_mixed_density(rng, 5)
     for p in (1.0, 1.5, 2.0):
@@ -189,6 +190,11 @@ def test_l1p_coherence_brute_force():
             sum(abs(rho[i, j]) ** p for i in range(5) if i != j) ** (1.0 / p) for j in range(5)
         ]
         assert abs(l1p_coherence(rho, p) - sum(columns)) < 1e-12
+
+
+def test_lqp_norm_rejects_exponents_below_one():
+    rng = np.random.default_rng(23)
+    rho = random_mixed_density(rng, 5)
     for p in (0.5, 2.5):
         with pytest.raises(ValueError):
             l1p_coherence(rho, p)
