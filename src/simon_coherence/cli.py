@@ -112,9 +112,10 @@ def _build_panel(args) -> tuple[tuple[CoherenceMeasure, ...], dict]:
     for i, measure in enumerate(panel):
         if measure in panel[:i]:
             raise UsageError(f"panel repeats {measure.label()}; name each measure and value once")
+    # a family the panel leaves out echoes no values
     config = {
-        "alphas": [float(a) for a in values["alpha"]],
-        "ps": [float(p) for p in values["p"]],
+        "alphas": [float(m.param) for m in panel if m.kind == "tsallis"],
+        "ps": [float(m.param) for m in panel if m.kind == "l1p"],
         "measures": [m.label() for m in panel],
     }
     return tuple(panel), config

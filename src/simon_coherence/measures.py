@@ -13,8 +13,8 @@ invariant under basis relabeling:
 
 ``FAMILIES`` names each kind with its parameter.  Dense-path functions take
 a density matrix; ``pure_state_coherence`` evaluates the same quantities
-directly from pure-state amplitudes, and ``route_values`` gathers every
-route's value for one measure.
+from the histogram of a pure state's amplitude magnitudes, and
+``route_values`` gathers every route's value for one measure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import StateVector, matrix_power, require_alpha
+from .states import StateVector, magnitude_histogram, matrix_power, require_alpha
 from .tolerances import TOL
 
 __all__ = [
@@ -195,32 +195,42 @@ def dense_coherence(rho: np.ndarray, measure: CoherenceMeasure) -> float:
 def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasure) -> float:
     """Evaluate a measure from pure-state amplitudes without forming the matrix.
 
-    Agrees with the dense path on |psi><psi| within TOL.cross_method.
+    Every measure of a pure state depends only on the multiset of amplitude
+    magnitudes, so each is a dot product of the counts c of the distinct
+    nonzero magnitudes m (probabilities p = m^2) with a function of them:
+    l1 = (c.m)^2 - c.p, skew_info = 1 - c.p^2, rel_entropy = -c.(p log2 p),
+    tsallis = (c.p^(1/alpha) - 1) / (alpha - 1) and
+    l1p = c.(m (S_p - m^p)^(1/p)) with S_p = c.m^p.  A ``StateVector``
+    computes its histogram once and shares it across a panel; an array is
+    histogrammed on each call.  Agrees with the dense path on |psi><psi|
+    within TOL.cross_method.
     """
-    amps = psi.amps if isinstance(psi, StateVector) else np.asarray(psi)
-    mags = np.abs(amps.reshape(-1))
+    if isinstance(psi, StateVector):
+        mags, counts = psi.magnitude_histogram
+    else:
+        mags, counts = magnitude_histogram(psi)
     probs = mags**2
     kind = measure.kind
     if kind == "tsallis":
         alpha = measure.param
         if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
-            return math.log(2.0) * _shannon_bits(probs)
+            return math.log(2.0) * _shannon_bits(probs, counts)
         require_alpha(alpha)
-        safe = np.where(probs > TOL.diag_power_floor, probs, 1.0)
-        roots = np.where(probs > TOL.diag_power_floor, np.exp(np.log(safe) / alpha), 0.0)
-        return _clamp((roots.sum() - 1.0) / (alpha - 1.0))
+        kept = probs > TOL.diag_power_floor
+        roots = np.exp(np.log(probs[kept]) / alpha)
+        return _clamp((counts[kept] @ roots - 1.0) / (alpha - 1.0))
     if kind == "l1p":
         p = measure.param
         _require_p(p)
         powered = mags**p
-        complements = np.clip(powered.sum() - powered, 0.0, None)
-        return _clamp(float((mags * complements ** (1.0 / p)).sum()))
+        complements = np.clip(counts @ powered - powered, 0.0, None)
+        return _clamp(float(counts @ (mags * complements ** (1.0 / p))))
     if kind == "rel_entropy":
-        return _clamp(_shannon_bits(probs))
+        return _clamp(_shannon_bits(probs, counts))
     if kind == "skew_info":
-        return _clamp(1.0 - float((probs**2).sum()))
-    total = mags.sum()
-    return _clamp(float(total * total - probs.sum()))
+        return _clamp(1.0 - float(counts @ probs**2))
+    total = counts @ mags
+    return _clamp(float(total * total - counts @ probs))
 
 
 def route_values(
@@ -240,8 +250,10 @@ def route_values(
     return values
 
 
-def _shannon_bits(weights: np.ndarray) -> float:
-    """Shannon entropy in bits; weights at or below the eigenvalue floor contribute 0."""
+def _shannon_bits(weights: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """Shannon entropy in bits of ``weights``, each taken ``counts`` times (once
+    by default); weights at or below the eigenvalue floor contribute 0."""
     weights = np.asarray(weights, dtype=float)
-    positive = weights[weights > TOL.eigenvalue_floor]
-    return float(-(positive * np.log2(positive)).sum())
+    kept = weights > TOL.eigenvalue_floor
+    terms = weights[kept] * np.log2(weights[kept])
+    return float(-(terms.sum() if counts is None else counts[kept] @ terms))

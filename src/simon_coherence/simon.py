@@ -162,20 +162,21 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
 
 
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
-    """Reversible oracle |x>|z> -> |x>|z ^ f(x)>, a basis permutation."""
+    """Reversible oracle |x>|z> -> |x>|z ^ f(x)>, a basis permutation.
+
+    Applied as one row-wise gather, out[x, z] = in[x, z ^ f(x)], since XOR
+    with f(x) is its own inverse; amplitudes are moved, never combined.
+    """
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(
             f"oracle on {f.n}+{f.n} qubits cannot act on a "
             f"{psi.n_first}+{psi.n_second} register state"
         )
-    mask = (1 << f.n) - 1
-    idx = np.arange(psi.dim)
-    x = idx >> f.n
-    z = idx & mask
-    target = (x << f.n) | (z ^ f.table[x])
-    out = np.empty_like(psi.amps)
-    out[target] = psi.amps
-    return StateVector(psi.n_first, psi.n_second, out)
+    cols = 1 << f.n
+    sources = np.arange(cols) ^ f.table[:, None]
+    grid = psi.amps.reshape(-1, cols)
+    out = np.take_along_axis(grid, sources, axis=1)
+    return StateVector(psi.n_first, psi.n_second, out.reshape(-1))
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .tolerances import TOL
 __all__ = [
     "StateVector",
     "basis_state",
+    "magnitude_histogram",
     "hadamard_first_register",
     "density_of",
     "purity",
@@ -34,7 +36,8 @@ class StateVector:
     """Normalized amplitudes over the joint register basis.
 
     Real amplitudes are held in float64, as at every stage of the Simon
-    circuit; complex amplitudes in complex128.
+    circuit; complex amplitudes in complex128.  ``magnitude_histogram`` is
+    computed on first use and kept with the state.
     """
 
     n_first: int
@@ -59,6 +62,25 @@ class StateVector:
     def dim(self) -> int:
         return self.amps.size
 
+    @cached_property
+    def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
+        """``magnitude_histogram(self.amps)``, computed once per state."""
+        return magnitude_histogram(self.amps)
+
+
+def magnitude_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct nonzero |amp| values ascending, float64 count of each).
+
+    Zero amplitudes are left out.  Both arrays are read-only.
+    """
+    amps = np.asarray(amps).reshape(-1)
+    # most circuit stages are mostly zeros, so dropping them first leaves little to sort
+    values, counts = np.unique(np.abs(amps[amps != 0.0]), return_counts=True)
+    counts = counts.astype(np.float64)
+    values.flags.writeable = False
+    counts.flags.writeable = False
+    return values, counts
+
 
 def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
     """Computational basis state |index> over the joint registers."""
@@ -75,25 +97,39 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
 
     Implemented as a normalized fast Walsh-Hadamard transform over the
     first-register index bits with the second-register index held fixed.
-    Unitary, and an involution up to roundoff.
+    Unitary, and an involution up to roundoff.  Only the second-register
+    columns that hold a nonzero amplitude are transformed, with in-place
+    butterflies; a column of zeros maps to zeros.  Every amplitude sees the
+    same additions and the same final scaling as in a transform of the full
+    grid, so the output bits do not depend on the skipping.
     """
     rows = 1 << psi.n_first
     cols = 1 << psi.n_second
     if rows == 1:
         return psi
-    a = psi.amps.reshape(rows, cols).copy()
+    grid = psi.amps.reshape(rows, cols)
+    occupied = np.flatnonzero(grid.any(axis=0))
+    # a C-contiguous copy, so the reshapes below are views of it
+    a = grid.take(occupied, axis=1)
+    width = occupied.size
+    spare = np.empty(rows // 2 * width, dtype=a.dtype)
     h = 1
     while h < rows:
-        a = a.reshape(rows // (2 * h), 2, h * cols)
-        top = a[:, 0, :].copy()
-        bottom = a[:, 1, :]
-        a[:, 0, :] = top + bottom
-        a[:, 1, :] = top - bottom
-        a = a.reshape(rows, cols)
+        pairs = a.reshape(rows // (2 * h), 2, h * width)
+        top = pairs[:, 0, :]
+        bottom = pairs[:, 1, :]
+        saved = spare.reshape(top.shape)
+        np.copyto(saved, top)
+        np.add(top, bottom, out=top)
+        np.subtract(saved, bottom, out=bottom)
         h *= 2
     # multiply by the rounded reciprocal, as numpy divides complex by real, so a
     # real state and its complex copy scale to the same bits
     a *= 1.0 / math.sqrt(rows)
+    if width < cols:
+        out = np.zeros(grid.shape, grid.dtype)
+        out[np.arange(rows)[:, None], occupied] = a
+        a = out
     return StateVector(psi.n_first, psi.n_second, a.reshape(-1))
 
 

@@ -385,6 +385,17 @@ def test_unused_repeated_values_do_not_repeat_the_panel(capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("command", [["run", "--n", "2", "--s", "11", "--seed", "0"],
+                                     ["verify", "--n", "2", "--seed", "0"], ["sweep", "--n-max", "3"]])
+def test_config_echoes_only_the_parameters_the_panel_uses(capsys, command):
+    _, doc = run_json(capsys, command + ["--measures", "l1", "--alphas", "0.5,0.5"])
+    assert doc["config"]["alphas"] == [] and doc["config"]["ps"] == []
+    _, doc = run_json(capsys, command + ["--measures", "l1p,l1", "--alphas", "0.3", "--ps", "1.5,2"])
+    assert doc["config"]["alphas"] == [] and doc["config"]["ps"] == [1.5, 2.0]
+    _, doc = run_json(capsys, command + ["--measures", "tsallis,skew_info", "--alphas", "0.3,2"])
+    assert doc["config"]["alphas"] == [0.3, 2.0] and doc["config"]["ps"] == []
+
+
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, ["--help"])[0] == EXIT_OK
     assert run_cli(capsys, ["run", "--help"])[0] == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,14 +19,21 @@ from simon_coherence import (
     SKEW_INFO,
     CoherenceMeasure,
     TOL,
+    SimonFunction,
     Stage,
     StateVector,
+    basis_state,
     dense_coherence,
     density_of,
+    final_stage_coherence,
+    hadamard_first_register,
     l1_coherence,
     l1p,
     l1p_coherence,
+    measure_second_register,
+    oracle_apply,
     pure_state_coherence,
+    random_bijection,
     random_two_to_one,
     relative_entropy_coherence,
     route_values,
@@ -34,6 +42,7 @@ from simon_coherence import (
     tsallis,
     tsallis_coherence,
 )
+from simon_coherence import states
 
 # ground-truth values for rho = [[0.5, 0.25], [0.25, 0.5]] (eigenvalues 3/4, 1/4)
 RHO_HALF_QUARTER = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -312,6 +321,71 @@ def test_hypothesis_pure_l1_routes_agree(pairs):
     fast = pure_state_coherence(amps, L1)
     assert abs(fast - l1_coherence(rho)) < 1e-9
     assert abs(fast - pure_state_coherence(amps, l1p(1.0))) < 1e-9
+
+
+# ------------------------------------------------------- magnitude histogram
+
+
+def ulps_from(value: float, exact: Fraction) -> float:
+    """Distance of ``value`` from ``exact`` in units in the last place of ``exact``."""
+    if exact == 0:
+        return 0.0 if value == 0.0 else math.inf
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def circuit_states(n: int):
+    """Every stage, post-measure included, for a two-to-one f and a bijection."""
+    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
+        stages = run_stages(f)
+        _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
+        yield from stages.values()
+        yield hadamard_first_register(collapsed)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pure_l1_and_skew_info_are_within_ulps_of_exact_values(n):
+    for psi in circuit_states(n):
+        mags = [Fraction(float(m)) for m in np.abs(psi.amps) if m != 0.0]
+        total = sum(mags)
+        probs = [m * m for m in mags]
+        exact_l1 = total * total - sum(probs)
+        exact_skew = 1 - sum(p * p for p in probs)
+        assert ulps_from(pure_state_coherence(psi, L1), exact_l1) <= 1.0
+        assert ulps_from(pure_state_coherence(psi, SKEW_INFO), exact_skew) <= 4.0
+
+
+def test_magnitude_histogram_is_computed_once_per_state(monkeypatch):
+    calls = []
+    original = states.magnitude_histogram
+
+    def counting(amps):
+        calls.append(amps.size)
+        return original(amps)
+
+    monkeypatch.setattr(states, "magnitude_histogram", counting)
+    psi = run_stages(random_two_to_one(4, 0b1010, 6))[Stage.FINAL_HADAMARD]
+    values = [pure_state_coherence(psi, measure) for measure in ALL_KINDS_PANEL]
+    assert calls == [256]
+    assert psi.magnitude_histogram is psi.magnitude_histogram
+    mags, counts = psi.magnitude_histogram
+    assert mags.tolist() == [0.125] and counts.tolist() == [64.0]
+    # an array is histogrammed on the spot, to the same values
+    assert values == [pure_state_coherence(psi.amps, measure) for measure in ALL_KINDS_PANEL]
+
+
+def test_pure_route_reads_the_simulated_amplitudes():
+    n = 4
+    good = random_two_to_one(n, 0b1011, 9)
+    table = good.table.copy()
+    table[3] ^= 1
+    broken = SimonFunction(n, table, good.s)
+    with pytest.raises(ValueError):
+        run_stages(broken)
+    psi = hadamard_first_register(oracle_apply(hadamard_first_register(basis_state(n, n)), broken))
+    closed = final_stage_coherence(1 << n, L1)
+    assert abs(pure_state_coherence(psi, L1) - closed) > TOL.cross_method
+    intact = run_stages(good)[Stage.FINAL_HADAMARD]
+    assert abs(pure_state_coherence(intact, L1) - closed) < TOL.cross_method
 
 
 # ------------------------------------------------------------------ invariance

@@ -345,6 +345,82 @@ def test_measurement_on_bijection_collapses_to_single_input():
     assert observed == f(int(np.argmax(mags)) >> 2)
 
 
+# ---------------------------------------------------- state-vector layer bits
+
+
+def reference_hadamard(psi: StateVector) -> np.ndarray:
+    """The full-grid butterfly: every column transformed, two temporaries per pass."""
+    rows, cols = 1 << psi.n_first, 1 << psi.n_second
+    a = psi.amps.reshape(rows, cols).copy()
+    h = 1
+    while h < rows:
+        a = a.reshape(rows // (2 * h), 2, h * cols)
+        top = a[:, 0, :].copy()
+        bottom = a[:, 1, :]
+        a[:, 0, :] = top + bottom
+        a[:, 1, :] = top - bottom
+        a = a.reshape(rows, cols)
+        h *= 2
+    a *= 1.0 / math.sqrt(rows)
+    return a.reshape(-1)
+
+
+def reference_oracle(psi: StateVector, f: SimonFunction) -> np.ndarray:
+    """The index scatter out[(x, z ^ f(x))] = in[(x, z)] over the full joint index."""
+    idx = np.arange(psi.dim)
+    x = idx >> f.n
+    z = idx & ((1 << f.n) - 1)
+    out = np.empty_like(psi.amps)
+    out[(x << f.n) | (z ^ f.table[x])] = psi.amps
+    return out
+
+
+def bits(amps: np.ndarray) -> np.ndarray:
+    # complex128 views as two uint64 words per amplitude, so both parts are compared
+    return amps.view(np.uint64)
+
+
+def occupied_columns(psi: StateVector) -> int:
+    return int(psi.amps.reshape(1 << psi.n_first, -1).any(axis=0).sum())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layers_match_the_full_grid_reference_bit_for_bit(n):
+    columns_seen = set()
+    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
+        stages = run_stages(f)
+        _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
+        states = list(stages.values()) + [collapsed, hadamard_first_register(collapsed)]
+        # the stages themselves are the reference circuit's bits
+        hadamard = reference_hadamard(stages[Stage.INITIAL])
+        oracle = reference_oracle(StateVector(n, n, hadamard), f)
+        final = reference_hadamard(StateVector(n, n, oracle))
+        for stage, expected in zip((Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD),
+                                   (hadamard, oracle, final)):
+            assert np.array_equal(bits(stages[stage].amps), bits(expected)), stage
+        for psi in states:
+            columns_seen.add(occupied_columns(psi) / (1 << n))
+            assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
+            assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
+    # one column, half of them (two-to-one oracle stage) and all of them are covered
+    assert {1 / (1 << n), 0.5, 1.0} <= columns_seen
+
+
+def test_random_states_match_the_full_grid_reference_bit_for_bit():
+    # random amplitudes make every butterfly round, unlike the circuit's r * small integers
+    rng = np.random.default_rng(11)
+    n = 4
+    f = random_two_to_one(n, 0b0110, 11)
+    real = rng.standard_normal((16, 16))
+    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    for grid in (real, raw):
+        grid[:, rng.permutation(16)[:10]] = 0.0
+        psi = StateVector(n, n, grid / np.linalg.norm(grid))
+        assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
+        assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
+    assert psi.amps.dtype == np.complex128
+
+
 # -------------------------------------------------------------- function table
 
 
