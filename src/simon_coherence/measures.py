@@ -160,9 +160,16 @@ def l1p_coherence(rho: np.ndarray, p: float) -> float:
 
 
 def relative_entropy_coherence(rho: np.ndarray) -> float:
-    """S(diag(rho)) - S(rho) in bits; spectrum at or below the floor contributes 0."""
+    """S(diag(rho)) - S(rho) in bits; spectrum at or below the floor contributes 0.
+
+    The spectrum is taken on the principal submatrix of the indices whose row
+    or column holds a nonzero entry.  Every other index splits off exactly as
+    an eigenvalue 0, which adds nothing to S(rho).  Both the row and the
+    column are tested because ``eigvalsh`` reads only one triangle.
+    """
     rho = np.asarray(rho)
-    spectrum = np.linalg.eigvalsh(rho)
+    support = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    spectrum = np.linalg.eigvalsh(rho[np.ix_(support, support)])
     return _clamp(_shannon_bits(np.diag(rho).real) - _shannon_bits(spectrum))
 
 

@@ -13,12 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import (
-    StateVector,
-    basis_state,
-    hadamard_first_register,
-    second_register_distribution,
-)
+from .states import StateVector, basis_state, hadamard_first_register
 from .tolerances import MAX_ORACLE_BITS
 
 __all__ = [
@@ -164,18 +159,19 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     """Reversible oracle |x>|z> -> |x>|z ^ f(x)>, a basis permutation.
 
-    Applied as one row-wise gather, out[x, z] = in[x, z ^ f(x)], since XOR
-    with f(x) is its own inverse; amplitudes are moved, never combined.
+    Applied as one row-wise scatter, out[x, z ^ f(x)] = in[x, z], over only
+    the second-register columns z that hold a nonzero amplitude; every other
+    entry of the output is zero.  Amplitudes are moved, never combined.
     """
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(
             f"oracle on {f.n}+{f.n} qubits cannot act on a "
             f"{psi.n_first}+{psi.n_second} register state"
         )
-    cols = 1 << f.n
-    sources = np.arange(cols) ^ f.table[:, None]
-    grid = psi.amps.reshape(-1, cols)
-    out = np.take_along_axis(grid, sources, axis=1)
+    grid = psi.amps.reshape(-1, 1 << f.n)
+    occupied = np.flatnonzero(grid.any(axis=0))
+    out = np.zeros_like(grid)
+    out[np.arange(grid.shape[0])[:, None], occupied ^ f.table[:, None]] = grid[:, occupied]
     return StateVector(psi.n_first, psi.n_second, out.reshape(-1))
 
 
@@ -208,12 +204,16 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
             f"oracle on {f.n}+{f.n} qubits does not match a "
             f"{psi.n_first}+{psi.n_second} register state"
         )
-    probs = second_register_distribution(psi)
+    grid = psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)
+    # Born weights of the columns holding a nonzero amplitude only; take() gives
+    # a C-contiguous copy, so each column is summed row by row in the same
+    # order as second_register_distribution sums the full grid
+    occupied = np.flatnonzero(grid.any(axis=0))
+    probs = (np.abs(grid.take(occupied, axis=1)) ** 2).sum(axis=0)
     support = np.flatnonzero(probs > 0.0)
     weights = probs[support] / probs[support].sum()
     rng = np.random.default_rng(seed)
-    observed = int(support[rng.choice(support.size, p=weights)])
-    grid = psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)
+    observed = int(occupied[support[rng.choice(support.size, p=weights)]])
     column = grid[:, observed]
     collapsed = np.zeros_like(grid)
     collapsed[:, observed] = column / np.linalg.norm(column)

@@ -388,6 +388,79 @@ def test_pure_route_reads_the_simulated_amplitudes():
     assert abs(pure_state_coherence(intact, L1) - closed) < TOL.cross_method
 
 
+# --------------------------------------- dense relative entropy on the support
+
+
+def full_spectrum_rel_entropy(rho: np.ndarray) -> float:
+    """S(diag rho) - S(rho) from eigvalsh on the whole matrix, with the eigenvalue floor."""
+    def bits(weights):
+        kept = weights[weights > TOL.eigenvalue_floor]
+        return float(-(kept * np.log2(kept)).sum())
+    return bits(np.diag(rho).real) - bits(np.linalg.eigvalsh(rho))
+
+
+def record_eigvalsh_shapes(monkeypatch) -> list:
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_relative_entropy_ignores_inserted_zero_rows_and_columns(field):
+    rng = np.random.default_rng(61 if field == "real" else 67)
+    for dim in range(2, 8):
+        if field == "real":
+            rho = real_mixed_density(rng, rng.dirichlet(np.ones(dim)))
+        else:
+            rho = random_mixed_density(rng, dim, terms=dim)
+        base = relative_entropy_coherence(rho)
+        assert abs(base - full_spectrum_rel_entropy(rho)) < 1e-12
+        for extra in (1, 3, 6):
+            padded = np.zeros((dim + extra, dim + extra), dtype=rho.dtype)
+            keep = np.sort(rng.choice(dim + extra, size=dim, replace=False))
+            padded[np.ix_(keep, keep)] = rho
+            assert abs(relative_entropy_coherence(padded) - base) < 1e-12
+            assert abs(full_spectrum_rel_entropy(padded) - base) < 1e-12
+
+
+@pytest.mark.parametrize("entry", [0.1, 0.1j])
+def test_index_with_only_a_lower_triangle_entry_stays_in_the_eigen_problem(monkeypatch, entry):
+    # row 1 is zero, column 1 holds rho[2, 1]; index 3 is zero in both
+    rho = np.zeros((4, 4), dtype=type(entry))
+    rho[0, 0] = rho[2, 2] = 0.5
+    rho[2, 1] = entry
+    expected = full_spectrum_rel_entropy(rho)
+    shapes = record_eigvalsh_shapes(monkeypatch)
+    value = relative_entropy_coherence(rho)
+    assert shapes == [(3, 3)]
+    assert abs(value - expected) < 1e-12
+    # dropping index 1 would leave diag(1/2, 1/2), whose value is 0
+    assert expected > 1e-3
+
+
+def test_dense_rel_entropy_eigen_problems_cover_only_the_support(monkeypatch):
+    shapes = record_eigvalsh_shapes(monkeypatch)
+    for psi in circuit_states(3):
+        relative_entropy_coherence(density_of(psi))
+    sizes = [shape[0] for shape in shapes]
+    assert all(shape == (size, size) for shape, size in zip(shapes, sizes))
+    # initial, Hadamard, oracle, final, post-measure: two-to-one f, then a bijection
+    assert sizes == [1, 8, 8, 16, 4] + [1, 8, 8, 64, 8]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dense_rel_entropy_matches_the_pure_route_at_every_stage(n):
+    for psi in circuit_states(n):
+        dense = relative_entropy_coherence(density_of(psi))
+        assert abs(dense - pure_state_coherence(psi, REL_ENTROPY)) < TOL.cross_method
+
+
 # ------------------------------------------------------------------ invariance
 
 

@@ -460,3 +460,33 @@ def test_function_table_rejects_inconsistent_mask(f_two_qubit):
     text = format_function_table(f_two_qubit).replace("s=11", "s=01")
     with pytest.raises(FunctionTableError):
         parse_function_table(text)
+
+
+def test_born_weights_match_the_full_grid_reference_bit_for_bit(monkeypatch):
+    # the weights handed to rng.choice keep the bits of second_register_distribution
+    drawn_with = []
+    original = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = original(seed)
+
+        def choice(self, a, p):
+            drawn_with.append(p)
+            return self.rng.choice(a, p=p)
+
+    functions = [random_two_to_one(n, 1, n) for n in (2, 4, 6)]
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    rng = original(13)
+    for f in functions:
+        n, size = f.n, 1 << f.n
+        for empty in (0, 1, size // 2, size - 2, size - 1):
+            grid = rng.standard_normal((size, size))
+            grid[:, rng.permutation(size)[:empty]] = 0.0
+            psi = StateVector(n, n, grid / np.linalg.norm(grid))
+            observed, _ = measure_second_register(psi, f, n)
+            probs = second_register_distribution(psi)
+            support = np.flatnonzero(probs > 0.0)
+            expected = probs[support] / probs[support].sum()
+            assert np.array_equal(bits(drawn_with.pop()), bits(expected))
+            assert observed in support
