@@ -10,7 +10,8 @@ gen-oracle  write a function table in the text format
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 capability
 error.  ``--seed`` falls back to the SIMON_COHERENCE_SEED environment
-variable, then to 0, so identical invocations produce identical bytes.
+variable, then to 0, so identical invocations produce identical bytes; a
+negative seed is a usage error.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ import io
 import json
 import os
 import sys
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import closed_forms, measures
-from .measures import FAMILIES, METHOD_DENSE, CoherenceMeasure
+from .measures import DEFAULT_PANEL, FAMILIES, METHOD_DENSE, CoherenceMeasure
 from .recovery import recover
 from .simon import (
     FunctionTableError,
@@ -51,7 +55,10 @@ EXIT_CAPABILITY = 3
 
 SEED_ENV_VAR = "SIMON_COHERENCE_SEED"
 
-DEFAULT_FAMILIES = "tsallis,l1p,rel_entropy,skew_info"
+# the flag defaults that rebuild measures.DEFAULT_PANEL, the panel the regime is read from
+DEFAULT_FAMILIES = ",".join(dict.fromkeys(measure.kind for measure in DEFAULT_PANEL))
+DEFAULT_ALPHAS = ",".join(str(measure.param) for measure in DEFAULT_PANEL if measure.kind == "tsallis")
+DEFAULT_PS = ",".join(str(measure.param) for measure in DEFAULT_PANEL if measure.kind == "l1p")
 
 L1_QUARTER_FORM = "N^2/4-1"
 L1_HALF_FORM = "N^2/2-1"
@@ -66,15 +73,16 @@ class CapabilityError(Exception):
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    source = "--seed"
+    if seed is None:
+        source, env = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise UsageError(f"{source} must not be negative, got {seed}")
+    return seed
 
 
 def _subseed(seed: int, *key: int) -> np.random.SeedSequence:
@@ -198,15 +206,33 @@ def _regime_json(dim: int) -> dict:
 def _stage_sequence(f: SimonFunction, seed: int):
     stages = run_stages(f)
     observed, collapsed = measure_second_register(stages[Stage.ORACLE], f, _subseed(seed, 2))
-    post = hadamard_first_register(collapsed)
-    ordered = [
-        (Stage.INITIAL, stages[Stage.INITIAL]),
-        (Stage.HADAMARD, stages[Stage.HADAMARD]),
-        (Stage.ORACLE, stages[Stage.ORACLE]),
-        (Stage.FINAL_HADAMARD, stages[Stage.FINAL_HADAMARD]),
-        (Stage.POST_MEASURE, post),
-    ]
-    return ordered, observed
+    return [*stages.items(), (Stage.POST_MEASURE, hadamard_first_register(collapsed))], observed
+
+
+class _Check(NamedTuple):
+    stage: Stage
+    measure: CoherenceMeasure
+    values: dict[str, float]
+    spread: float
+    ok: bool
+
+
+def _agreement(values) -> tuple[float, bool]:
+    """The spread between values that must agree, and whether it is below TOL.cross_method."""
+    spread = float(max(values) - min(values))
+    return spread, spread < TOL.cross_method
+
+
+def _cross_checks(stages, f: SimonFunction, panel, dense_on: bool):
+    """One ``_Check`` per stage and panel measure: the value by every route that
+    applies, keyed by method, with the spread between them.  ``stages`` holds
+    (stage, state) pairs; one density matrix is built per stage."""
+    for stage, state in stages:
+        rho = density_of(state) if dense_on else None
+        for measure in panel:
+            closed = closed_forms.stage_coherence(stage, 1 << f.n, f.s, measure)
+            values = measures.route_values(state, rho, measure, closed)
+            yield _Check(stage, measure, values, *_agreement(values.values()))
 
 
 def cmd_run(args) -> int:
@@ -215,35 +241,21 @@ def cmd_run(args) -> int:
     f = _load_oracle(args, seed)
     _require_n(f.n, MAX_SIM_QUBITS, "state-vector simulation")
     dense_on = _dense_enabled(args.dense, f.n)
-    dim = 1 << f.n
 
     ordered, observed = _stage_sequence(f, seed)
+    checks = list(_cross_checks(ordered, f, panel, dense_on))
     stage_entries = []
-    discrepancies = []
-    any_flagged = False
-    for stage, state in ordered:
-        rho = density_of(state) if dense_on else None
-        values = []
-        stage_spread = 0.0
-        for measure in panel:
-            closed = closed_forms.stage_coherence(stage, dim, f.s, measure)
-            by_method = measures.route_values(state, rho, measure, closed)
-            for method, value in by_method.items():
-                values.append(_measure_json(measure) | {"method": method, "value": value})
-            spread = max(by_method.values()) - min(by_method.values())
-            stage_spread = max(stage_spread, spread)
-            flagged = spread >= TOL.cross_method
-            any_flagged = any_flagged or flagged
-            discrepancies.append(
-                {"stage": stage.value}
-                | _measure_json(measure)
-                | {"max_difference": float(spread), "flagged": flagged}
-            )
+    for stage, group in groupby(checks, key=attrgetter("stage")):
+        group = list(group)
         entry = {"stage": stage.value}
         if stage is Stage.POST_MEASURE:
             entry["observed"] = int_to_bits(observed, f.n)
-        entry["max_discrepancy"] = float(stage_spread)
-        entry["values"] = values
+        entry["max_discrepancy"] = max(check.spread for check in group)
+        entry["values"] = [
+            _measure_json(check.measure) | {"method": method, "value": value}
+            for check in group
+            for method, value in check.values.items()
+        ]
         stage_entries.append(entry)
 
     doc = {
@@ -258,11 +270,16 @@ def cmd_run(args) -> int:
             "dense": dense_on,
         },
         "stages": stage_entries,
-        "regime": _regime_json(dim) if f.s != 0 else None,
-        "discrepancies": discrepancies,
+        "regime": _regime_json(1 << f.n) if f.s != 0 else None,
+        "discrepancies": [
+            {"stage": check.stage.value}
+            | _measure_json(check.measure)
+            | {"max_difference": check.spread, "flagged": not check.ok}
+            for check in checks
+        ],
     }
     _emit(_render(doc, args.format), args.output)
-    return EXIT_MISMATCH if any_flagged else EXIT_OK
+    return EXIT_OK if all(check.ok for check in checks) else EXIT_MISMATCH
 
 
 def cmd_verify(args) -> int:
@@ -273,48 +290,29 @@ def cmd_verify(args) -> int:
     if s == 0:
         raise UsageError("verify requires a nonzero mask; the final-stage closed forms assume one")
     f = _build_oracle(args.n, s, seed)
-    dim = 1 << f.n
 
     stages = run_stages(f)
-    checks = []
-    dense_values = {}
-    all_ok = True
-    for stage in (Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD):
-        rho = density_of(stages[stage])
-        for measure in panel:
-            closed = closed_forms.stage_coherence(stage, dim, f.s, measure)
-            values = measures.route_values(stages[stage], rho, measure, closed)
-            dense_values[stage, measure] = values[METHOD_DENSE]
-            spread = max(values.values()) - min(values.values())
-            ok = spread < TOL.cross_method
-            all_ok = all_ok and ok
-            checks.append(
-                {"stage": stage.value}
-                | _measure_json(measure)
-                | {"values": values, "discrepancy": float(spread), "ok": ok}
-            )
+    verified = (Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD)
+    checks = list(_cross_checks(((stage, stages[stage]) for stage in verified), f, panel, True))
+    dense = {(check.stage, check.measure): check.values[METHOD_DENSE] for check in checks}
 
     deltas = []
     for measure in panel:
-        closed_delta = closed_forms.coherence_delta(dim, measure)
-        dense_delta = (
-            dense_values[Stage.FINAL_HADAMARD, measure] - dense_values[Stage.HADAMARD, measure]
-        )
-        spread = abs(closed_delta - dense_delta)
-        ok = spread < TOL.cross_method
-        all_ok = all_ok and ok
+        closed_delta = closed_forms.coherence_delta(1 << f.n, measure)
+        dense_delta = dense[Stage.FINAL_HADAMARD, measure] - dense[Stage.HADAMARD, measure]
+        spread, ok = _agreement((closed_delta, dense_delta))
         deltas.append(
             _measure_json(measure)
-            | {
-                "closed_form": float(closed_delta),
-                "dense": float(dense_delta),
-                "discrepancy": float(spread),
-                "ok": ok,
-            }
+            | {"closed_form": float(closed_delta), "dense": float(dense_delta)}
+            | {"discrepancy": spread, "ok": ok}
         )
 
     conflict = _l1_conflict_report(seed)
-    all_ok = all_ok and conflict["confirmed"] == L1_QUARTER_FORM
+    all_ok = (
+        all(check.ok for check in checks)
+        and all(row["ok"] for row in deltas)
+        and conflict["confirmed"] == L1_QUARTER_FORM
+    )
 
     doc = {
         "config": {
@@ -325,7 +323,12 @@ def cmd_verify(args) -> int:
             **panel_config,
             "format": args.format,
         },
-        "checks": checks,
+        "checks": [
+            {"stage": check.stage.value}
+            | _measure_json(check.measure)
+            | {"values": check.values, "discrepancy": check.spread, "ok": check.ok}
+            for check in checks
+        ],
         "deltas": deltas,
         "l1_conflict": conflict,
         "ok": all_ok,
@@ -511,8 +514,8 @@ def _add_common(parser, *, n_flag=True, seed=True, panel=True, fmt=True) -> None
     if seed:
         parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
     if panel:
-        parser.add_argument("--alphas", default="0.5,2.0", help="comma-separated Tsallis orders")
-        parser.add_argument("--ps", default="1.0,2.0", help="comma-separated matrix-norm exponents")
+        parser.add_argument("--alphas", default=DEFAULT_ALPHAS, help="comma-separated Tsallis orders")
+        parser.add_argument("--ps", default=DEFAULT_PS, help="comma-separated matrix-norm exponents")
         parser.add_argument(
             "--measures",
             default=DEFAULT_FAMILIES,

@@ -11,8 +11,6 @@ class Tolerances:
 
     norm: float = 1e-12                 # |norm(psi) - 1| at construction
     hermiticity: float = 1e-12          # max entry of |rho - rho^dagger|
-    trace: float = 1e-12                # |tr(rho) - 1|
-    psd: float = 1e-10                  # eigenvalues allowed down to -psd
     eigenvalue_floor: float = 1e-12     # lambda at or below this treated as 0
     diag_power_floor: float = 1e-15     # <j|rho^a|j> at or below this contributes 0
     rank_one: float = 1e-10             # purity within this of 1 triggers pure shortcuts

@@ -3,16 +3,30 @@ import math
 
 import pytest
 
-from simon_coherence import parse_function_table
+from simon_coherence import DEFAULT_PANEL, SKEW_INFO, Stage, closed_forms, l1p, parse_function_table
 from simon_coherence.cli import (
     EXIT_CAPABILITY,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     SEED_ENV_VAR,
+    _build_panel,
+    build_parser,
     main,
 )
 
 STAGE_ORDER = ["initial", "hadamard", "oracle", "final_hadamard", "post_measure"]
+
+
+def perturb_closed_form(monkeypatch, stage, target):
+    """Move the closed form of one stage and measure by 1e-6, far beyond TOL.cross_method."""
+    exact = closed_forms.stage_coherence
+
+    def perturbed(at, dim, s, measure):
+        value = exact(at, dim, s, measure)
+        return value + 1e-6 if at is stage and measure == target else value
+
+    monkeypatch.setattr(closed_forms, "stage_coherence", perturbed)
 
 
 def run_cli(capsys, argv):
@@ -97,6 +111,33 @@ def test_run_seed_env_fallback(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["run", "--n", "2", "--s", "11"])
     assert code == EXIT_USAGE
     assert SEED_ENV_VAR in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--n", "2", "--s", "11"], ["verify", "--n", "2"], ["recover", "--n", "2", "--trials", "2"],
+     ["gen-oracle", "--n", "2"]],
+)
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, command):
+    code, out, err = run_cli(capsys, command + ["--seed", "-1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--seed must not be negative, got -1" in err
+    monkeypatch.setenv(SEED_ENV_VAR, "-3")
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"{SEED_ENV_VAR} must not be negative, got -3" in err
+
+
+def test_run_flags_the_one_check_whose_routes_disagree(capsys, monkeypatch):
+    perturb_closed_form(monkeypatch, Stage.FINAL_HADAMARD, SKEW_INFO)
+    for dense in ("on", "off"):
+        code, doc = run_json(capsys, ["run", "--n", "3", "--s", "110", "--seed", "2", "--dense", dense])
+        assert code == EXIT_MISMATCH
+        flagged = [(row["stage"], row["measure"]) for row in doc["discrepancies"] if row["flagged"]]
+        assert flagged == [("final_hadamard", "skew_info")]
+        for name in STAGE_ORDER:
+            spread = stage_entry(doc, name)["max_discrepancy"]
+            assert (spread >= 1e-9) == (name == "final_hadamard")
 
 
 def test_run_bijection_has_no_regime_or_final_closed_form(capsys):
@@ -189,6 +230,31 @@ def test_verify_deltas_are_differences_of_the_checked_dense_values(capsys):
     for delta in doc["deltas"]:
         key = (delta["measure"], tuple(delta["params"].items()))
         assert delta["dense"] == dense[("final_hadamard", *key)] - dense[("hadamard", *key)]
+
+
+def test_verify_fails_when_one_stage_check_disagrees(capsys, monkeypatch):
+    perturb_closed_form(monkeypatch, Stage.ORACLE, l1p(2.0))
+    code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5"])
+    assert code == EXIT_MISMATCH
+    assert doc["ok"] is False
+    failed = [(row["stage"], row["measure"], row["params"]) for row in doc["checks"] if not row["ok"]]
+    assert failed == [("oracle", "l1p", {"p": 2.0})]
+    # the oracle stage feeds no delta, so every delta still agrees
+    assert all(row["ok"] for row in doc["deltas"])
+
+
+def test_verify_fails_when_a_closed_form_delta_disagrees(capsys, monkeypatch):
+    exact = closed_forms.coherence_delta
+
+    def perturbed(dim, measure):
+        return exact(dim, measure) + (1e-6 if measure == SKEW_INFO else 0.0)
+
+    monkeypatch.setattr(closed_forms, "coherence_delta", perturbed)
+    code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5"])
+    assert code == EXIT_MISMATCH
+    assert doc["ok"] is False
+    assert all(row["ok"] for row in doc["checks"])
+    assert [row["measure"] for row in doc["deltas"] if not row["ok"]] == ["skew_info"]
 
 
 def test_verify_argument_errors(capsys):
@@ -394,6 +460,11 @@ def test_config_echoes_only_the_parameters_the_panel_uses(capsys, command):
     assert doc["config"]["alphas"] == [] and doc["config"]["ps"] == [1.5, 2.0]
     _, doc = run_json(capsys, command + ["--measures", "tsallis,skew_info", "--alphas", "0.3,2"])
     assert doc["config"]["alphas"] == [0.3, 2.0] and doc["config"]["ps"] == []
+
+
+def test_default_flags_build_the_default_panel():
+    for argv in (["run", "--n", "2"], ["verify", "--n", "2"], ["sweep", "--n-max", "2"]):
+        assert _build_panel(build_parser().parse_args(argv))[0] == DEFAULT_PANEL
 
 
 def test_help_exits_cleanly(capsys):
