@@ -148,29 +148,41 @@ def l1p_coherence(rho: np.ndarray, p: float) -> float:
     """l_{1,p} coherence: the sum over columns of the column-wise l_p norms of
     rho with its diagonal removed.
 
-    Works on one magnitude matrix, zeroed on the diagonal and raised to p in
-    place, so a stage allocates no second full matrix.
+    Works on the principal submatrix of ``_support(rho)``, zeroed on the
+    diagonal and raised to p in place; the other columns have norm 0.  Each
+    column is summed row by row, so the dropped zero rows change no bits, and
+    the norms are summed over all N columns, as on the full matrix.
     """
     _require_p(p)
-    mags = np.abs(np.asarray(rho))
+    rho = np.asarray(rho)
+    support = _support(rho)
+    sub = rho[np.ix_(support, support)]
+    # the submatrix is a fresh copy, so real magnitudes can overwrite it
+    mags = np.abs(sub, out=sub if sub.dtype == np.float64 else None)
     np.fill_diagonal(mags, 0.0)
     mags **= p
-    column_norms = mags.sum(axis=0) ** (1.0 / p)
+    column_norms = np.zeros(rho.shape[0])
+    column_norms[support] = mags.sum(axis=0) ** (1.0 / p)
     return _clamp(float(column_norms.sum()))
 
 
 def relative_entropy_coherence(rho: np.ndarray) -> float:
     """S(diag(rho)) - S(rho) in bits; spectrum at or below the floor contributes 0.
 
-    The spectrum is taken on the principal submatrix of the indices whose row
-    or column holds a nonzero entry.  Every other index splits off exactly as
-    an eigenvalue 0, which adds nothing to S(rho).  Both the row and the
-    column are tested because ``eigvalsh`` reads only one triangle.
+    The spectrum is taken on the principal submatrix of ``_support(rho)``.
+    Every other index splits off exactly as an eigenvalue 0, which adds
+    nothing to S(rho).
     """
     rho = np.asarray(rho)
-    support = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    support = _support(rho)
     spectrum = np.linalg.eigvalsh(rho[np.ix_(support, support)])
     return _clamp(_shannon_bits(np.diag(rho).real) - _shannon_bits(spectrum))
+
+
+def _support(rho: np.ndarray) -> np.ndarray:
+    """The indices whose row or column of rho holds a nonzero entry.  Both are
+    tested because ``eigvalsh`` reads only one triangle."""
+    return np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
 
 
 def skew_information_coherence(rho: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import StateVector, basis_state, hadamard_first_register
+from .states import StateVector, basis_state, column_weights, hadamard_first_register
 from .tolerances import MAX_ORACLE_BITS
 
 __all__ = [
@@ -159,20 +159,24 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     """Reversible oracle |x>|z> -> |x>|z ^ f(x)>, a basis permutation.
 
-    Applied as one row-wise scatter, out[x, z ^ f(x)] = in[x, z], over only
-    the second-register columns z that hold a nonzero amplitude; every other
-    entry of the output is zero.  Amplitudes are moved, never combined.
+    Moves block entry (x, column z) to column z ^ f(x); the output columns are
+    the sorted distinct targets, and every other entry of the output block is
+    zero.  Amplitudes are moved, never combined.
     """
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(
             f"oracle on {f.n}+{f.n} qubits cannot act on a "
             f"{psi.n_first}+{psi.n_second} register state"
         )
-    grid = psi.amps.reshape(-1, 1 << f.n)
-    occupied = np.flatnonzero(grid.any(axis=0))
-    out = np.zeros_like(grid)
-    out[np.arange(grid.shape[0])[:, None], occupied ^ f.table[:, None]] = grid[:, occupied]
-    return StateVector(psi.n_first, psi.n_second, out.reshape(-1))
+    targets = psi.columns ^ f.table[:, None]
+    hit = np.zeros(1 << f.n, dtype=bool)
+    hit[targets] = True
+    columns = np.flatnonzero(hit)
+    slot = np.empty(1 << f.n, dtype=np.intp)
+    slot[columns] = np.arange(columns.size)
+    block = np.zeros((psi.block.shape[0], columns.size), psi.block.dtype)
+    block[np.arange(block.shape[0])[:, None], slot[targets]] = psi.block
+    return StateVector.from_block(psi.n_first, psi.n_second, columns, block)
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
@@ -204,20 +208,15 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
             f"oracle on {f.n}+{f.n} qubits does not match a "
             f"{psi.n_first}+{psi.n_second} register state"
         )
-    grid = psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)
-    # Born weights of the columns holding a nonzero amplitude only; take() gives
-    # a C-contiguous copy, so each column is summed row by row in the same
-    # order as second_register_distribution sums the full grid
-    occupied = np.flatnonzero(grid.any(axis=0))
-    probs = (np.abs(grid.take(occupied, axis=1)) ** 2).sum(axis=0)
+    probs = column_weights(psi)
     support = np.flatnonzero(probs > 0.0)
     weights = probs[support] / probs[support].sum()
     rng = np.random.default_rng(seed)
-    observed = int(occupied[support[rng.choice(support.size, p=weights)]])
-    column = grid[:, observed]
-    collapsed = np.zeros_like(grid)
-    collapsed[:, observed] = column / np.linalg.norm(column)
-    return observed, StateVector(psi.n_first, psi.n_second, collapsed.reshape(-1))
+    k = int(support[rng.choice(support.size, p=weights)])
+    column = psi.block[:, k]
+    collapsed = (column / np.linalg.norm(column)).reshape(-1, 1)
+    return int(psi.columns[k]), StateVector.from_block(psi.n_first, psi.n_second, psi.columns[k:k + 1],
+                                                       collapsed)
 
 
 class FunctionTableError(ValueError):

@@ -27,45 +27,76 @@ __all__ = [
     "hermitian_eig",
     "matrix_power",
     "first_register_distribution",
+    "column_weights",
     "second_register_distribution",
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateVector:
-    """Normalized amplitudes over the joint register basis.
+    """Normalized amplitudes over the joint register basis, held by column.
 
-    Real amplitudes are held in float64, as at every stage of the Simon
-    circuit; complex amplitudes in complex128.  ``magnitude_histogram`` is
-    computed on first use and kept with the state.
+    ``columns`` is the sorted, read-only array of second-register values z
+    whose column may hold a nonzero amplitude, and ``block`` the C-contiguous
+    ``(2^n_first, len(columns))`` array of those columns; every amplitude
+    outside ``columns`` is zero.  A Simon circuit stage occupies one column or
+    N/2 of them, so no layer touches the full grid.  Real amplitudes are held
+    in float64, as at every stage of the circuit; complex amplitudes in
+    complex128.  ``amps`` and ``magnitude_histogram`` are computed on first
+    use and kept with the state.
     """
 
     n_first: int
     n_second: int
-    amps: np.ndarray
+    columns: np.ndarray
+    block: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n_first < 0 or self.n_second < 0:
-            raise ValueError("register sizes must be nonnegative")
-        if self.n_first + self.n_second == 0:
-            raise ValueError("need at least one qubit")
-        amps = np.ascontiguousarray(_as_float_array(self.amps).reshape(-1))
-        object.__setattr__(self, "amps", amps)
-        dim = 1 << (self.n_first + self.n_second)
+    def __init__(self, n_first: int, n_second: int, amps) -> None:
+        """The state of the flat joint amplitude vector ``amps``; the columns
+        holding a nonzero amplitude are copied into the block."""
+        _require_registers(n_first, n_second)
+        amps = _as_float_array(amps).reshape(-1)
+        dim = 1 << (n_first + n_second)
         if amps.size != dim:
             raise ValueError(f"expected {dim} amplitudes, got {amps.size}")
-        norm = float(np.linalg.norm(amps))
+        grid = amps.reshape(1 << n_first, 1 << n_second)
+        columns = np.flatnonzero(grid.any(axis=0))
+        self._hold(n_first, n_second, columns, grid.take(columns, axis=1))
+
+    @classmethod
+    def from_block(cls, n_first: int, n_second: int, columns: np.ndarray, block: np.ndarray) -> StateVector:
+        """The state whose second-register ``columns`` (sorted, distinct) hold
+        ``block``; both arrays are kept, not copied."""
+        _require_registers(n_first, n_second)
+        psi = cls.__new__(cls)
+        psi._hold(n_first, n_second, columns, block)
+        return psi
+
+    def _hold(self, n_first: int, n_second: int, columns: np.ndarray, block: np.ndarray) -> None:
+        if block.shape != (1 << n_first, columns.size) or not block.flags.c_contiguous:
+            raise ValueError(f"block of shape {block.shape} does not hold {columns.size} columns "
+                             f"of {1 << n_first} rows contiguously")
+        columns.flags.writeable = False
+        for name, value in (("n_first", n_first), ("n_second", n_second),
+                            ("columns", columns), ("block", block)):
+            object.__setattr__(self, name, value)
+        norm = float(np.linalg.norm(block))
         if abs(norm - 1.0) > TOL.norm:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     @property
     def dim(self) -> int:
-        return self.amps.size
+        return 1 << (self.n_first + self.n_second)
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """The flat joint amplitude vector, zero outside ``columns``."""
+        return _joint_vector(self)
 
     @cached_property
     def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        """``magnitude_histogram(self.amps)``, computed once per state."""
-        return magnitude_histogram(self.amps)
+        """``magnitude_histogram`` of the amplitudes, computed once per state."""
+        return magnitude_histogram(self.block)
 
 
 def magnitude_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,12 +115,13 @@ def magnitude_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
     """Computational basis state |index> over the joint registers."""
+    _require_registers(n_first, n_second)
     dim = 1 << (n_first + n_second)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    amps = np.zeros(dim)
-    amps[index] = 1.0
-    return StateVector(n_first, n_second, amps)
+    block = np.zeros((1 << n_first, 1))
+    block[index >> n_second, 0] = 1.0
+    return StateVector.from_block(n_first, n_second, np.array([index & ((1 << n_second) - 1)]), block)
 
 
 def hadamard_first_register(psi: StateVector) -> StateVector:
@@ -97,21 +129,16 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
 
     Implemented as a normalized fast Walsh-Hadamard transform over the
     first-register index bits with the second-register index held fixed.
-    Unitary, and an involution up to roundoff.  Only the second-register
-    columns that hold a nonzero amplitude are transformed, with in-place
-    butterflies; a column of zeros maps to zeros.  Every amplitude sees the
-    same additions and the same final scaling as in a transform of the full
-    grid, so the output bits do not depend on the skipping.
+    Unitary, and an involution up to roundoff.  The transform mixes rows
+    within each column, so it keeps the columns and runs in-place butterflies
+    on a copy of the block.  Every amplitude sees the same additions and the
+    same final scaling as in a transform of the full grid.
     """
     rows = 1 << psi.n_first
-    cols = 1 << psi.n_second
     if rows == 1:
         return psi
-    grid = psi.amps.reshape(rows, cols)
-    occupied = np.flatnonzero(grid.any(axis=0))
-    # a C-contiguous copy, so the reshapes below are views of it
-    a = grid.take(occupied, axis=1)
-    width = occupied.size
+    a = psi.block.copy()
+    width = psi.columns.size
     spare = np.empty(rows // 2 * width, dtype=a.dtype)
     h = 1
     while h < rows:
@@ -126,11 +153,7 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     # multiply by the rounded reciprocal, as numpy divides complex by real, so a
     # real state and its complex copy scale to the same bits
     a *= 1.0 / math.sqrt(rows)
-    if width < cols:
-        out = np.zeros(grid.shape, grid.dtype)
-        out[np.arange(rows)[:, None], occupied] = a
-        a = out
-    return StateVector(psi.n_first, psi.n_second, a.reshape(-1))
+    return StateVector.from_block(psi.n_first, psi.n_second, psi.columns, a)
 
 
 def density_of(psi: StateVector) -> np.ndarray:
@@ -140,7 +163,10 @@ def density_of(psi: StateVector) -> np.ndarray:
     symmetric float64 outer product, and the dense route downstream runs in
     real arithmetic.  A complex state gives a complex128 matrix.
     """
-    return np.outer(psi.amps, psi.amps.conj())
+    # a joint vector that dies here, not psi.amps: one kept alive with each
+    # state between the N^2 matrices of the dense route fragments the heap
+    amps = _joint_vector(psi)
+    return np.outer(amps, amps.conj())
 
 
 def purity(rho: np.ndarray) -> float:
@@ -201,14 +227,36 @@ def require_alpha(alpha: float) -> None:
 
 def first_register_distribution(psi: StateVector) -> np.ndarray:
     """Born probabilities p[x] = sum_z |amp(x, z)|^2 over first-register values."""
-    mags = np.abs(psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)) ** 2
-    return mags.sum(axis=1)
+    return (np.abs(psi.block) ** 2).sum(axis=1)
+
+
+def column_weights(psi: StateVector) -> np.ndarray:
+    """Born weight sum_x |amp(x, z)|^2 of each occupied column z, in ``psi.columns`` order.
+
+    Two or more columns are summed row by row, so each weight has the same
+    bits as in a sum over the full grid; numpy sums a single column pairwise.
+    """
+    return (np.abs(psi.block) ** 2).sum(axis=0)
 
 
 def second_register_distribution(psi: StateVector) -> np.ndarray:
     """Born probabilities p[z] = sum_x |amp(x, z)|^2 over second-register values."""
-    mags = np.abs(psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)) ** 2
-    return mags.sum(axis=0)
+    probs = np.zeros(1 << psi.n_second)
+    probs[psi.columns] = column_weights(psi)
+    return probs
+
+
+def _joint_vector(psi: StateVector) -> np.ndarray:
+    grid = np.zeros((1 << psi.n_first, 1 << psi.n_second), psi.block.dtype)
+    grid[:, psi.columns] = psi.block
+    return grid.reshape(-1)
+
+
+def _require_registers(n_first: int, n_second: int) -> None:
+    if n_first < 0 or n_second < 0:
+        raise ValueError("register sizes must be nonnegative")
+    if n_first + n_second == 0:
+        raise ValueError("need at least one qubit")
 
 
 def _as_float_array(values) -> np.ndarray:

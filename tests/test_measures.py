@@ -365,7 +365,8 @@ def test_magnitude_histogram_is_computed_once_per_state(monkeypatch):
     monkeypatch.setattr(states, "magnitude_histogram", counting)
     psi = run_stages(random_two_to_one(4, 0b1010, 6))[Stage.FINAL_HADAMARD]
     values = [pure_state_coherence(psi, measure) for measure in ALL_KINDS_PANEL]
-    assert calls == [256]
+    # one call, on the 16 x 8 block of occupied columns rather than all 256 amplitudes
+    assert calls == [128]
     assert psi.magnitude_histogram is psi.magnitude_histogram
     mags, counts = psi.magnitude_histogram
     assert mags.tolist() == [0.125] and counts.tolist() == [64.0]
@@ -427,6 +428,29 @@ def test_relative_entropy_ignores_inserted_zero_rows_and_columns(field):
             padded[np.ix_(keep, keep)] = rho
             assert abs(relative_entropy_coherence(padded) - base) < 1e-12
             assert abs(full_spectrum_rel_entropy(padded) - base) < 1e-12
+
+
+def full_matrix_l1p(rho: np.ndarray, p: float) -> float:
+    """The l_{1,p} formula on the whole matrix: every column's l_p norm off the diagonal."""
+    mags = np.abs(rho)
+    np.fill_diagonal(mags, 0.0)
+    return float(((mags**p).sum(axis=0) ** (1.0 / p)).sum())
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_l1p_ignores_inserted_zero_rows_and_columns_bit_for_bit(field):
+    rng = np.random.default_rng(71 if field == "real" else 73)
+    for dim in range(2, 8):
+        if field == "real":
+            rho = real_mixed_density(rng, rng.dirichlet(np.ones(dim)))
+        else:
+            rho = random_mixed_density(rng, dim, terms=dim)
+        for extra in (0, 1, 3, 6):
+            padded = np.zeros((dim + extra, dim + extra), dtype=rho.dtype)
+            keep = np.sort(rng.choice(dim + extra, size=dim, replace=False))
+            padded[np.ix_(keep, keep)] = rho
+            for p in (1.0, 1.3, 1.5, 2.0):
+                assert l1p_coherence(padded, p) == full_matrix_l1p(padded, p), (dim, extra, p)
 
 
 @pytest.mark.parametrize("entry", [0.1, 0.1j])

@@ -120,6 +120,28 @@ def test_sample_distribution_is_uniform_on_the_orthogonal_set():
     assert result.pvalue > 0.001
 
 
+def full_grid_first_register_distribution(psi):
+    """p[x] summed over every second-register column of the full grid, zeros included."""
+    size = 1 << psi.n_first
+    return (np.abs(psi.amps.reshape(size, -1)) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_block_row_sums_leave_the_sample_stream_unchanged(monkeypatch, n):
+    # at odd n the row sums over occupied columns only can move p[x] by about 1e-19
+    from simon_coherence import recovery
+
+    for seed in range(5):
+        s = int(np.random.default_rng(seed).integers(1, 1 << n))
+        f = random_two_to_one(n, s, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(recovery, "first_register_distribution", full_grid_first_register_distribution)
+            expected = recover(f, seed)
+        got = recover(f, seed)
+        assert (got.queries, got.s_hat) == (expected.queries, expected.s_hat)
+        assert got.s_hat == s
+
+
 # ------------------------------------------------------------------- recovery
 
 

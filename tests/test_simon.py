@@ -12,6 +12,7 @@ from simon_coherence import (
     StateVector,
     bits_to_int,
     dot_mod2,
+    first_register_distribution,
     format_function_table,
     hadamard_first_register,
     int_to_bits,
@@ -421,6 +422,116 @@ def test_random_states_match_the_full_grid_reference_bit_for_bit():
     assert psi.amps.dtype == np.complex128
 
 
+# ------------------------------------------------- column blocks vs matrices
+
+
+def hadamard_matrix(n_first: int, n_second: int) -> np.ndarray:
+    """H^{(x)n_first} (x) I on the joint basis, first register in the high bits."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    m = np.ones((1, 1))
+    for _ in range(n_first):
+        m = np.kron(m, h)
+    return np.kron(m, np.eye(1 << n_second))
+
+
+def oracle_matrix(f: SimonFunction) -> np.ndarray:
+    """The permutation matrix sending |x>|z> to |x>|z ^ f(x)>."""
+    size = 1 << f.n
+    m = np.zeros((size * size, size * size))
+    for x in range(size):
+        for z in range(size):
+            m[(x << f.n) | (z ^ f(x)), (x << f.n) | z] = 1.0
+    return m
+
+
+def assert_block_holds(psi: StateVector) -> None:
+    """columns sorted and distinct, block their contiguous copy, zeros elsewhere."""
+    grid = psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)
+    assert np.all(np.diff(psi.columns) > 0)
+    assert psi.block.flags.c_contiguous
+    assert np.array_equal(grid[:, psi.columns], psi.block)
+    assert not np.delete(grid, psi.columns, axis=1).any()
+
+
+def random_block_states(rng, n):
+    """Random real and complex states, and blocks that list an all-zero column."""
+    size = 1 << n
+
+    def draw(shape, field):
+        values = rng.standard_normal(shape)
+        return values + 1j * rng.standard_normal(shape) if field == "complex" else values
+
+    for field in ("real", "complex"):
+        grid = draw((size, size), field)
+        grid[:, rng.permutation(size)[: size // 2]] = 0.0
+        yield StateVector(n, n, grid / np.linalg.norm(grid))
+        columns = np.sort(rng.choice(size, size=min(3, size), replace=False))
+        block = draw((size, columns.size), field)
+        block[:, columns.size // 2] = 0.0
+        yield StateVector.from_block(n, n, columns, block / np.linalg.norm(block))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_block_layers_match_the_explicit_matrices(n):
+    rng = np.random.default_rng(100 + n)
+    hadamard = hadamard_matrix(n, n)
+    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
+        oracle = oracle_matrix(f)
+        for psi in random_block_states(rng, n):
+            assert_block_holds(psi)
+            for got, expected in ((hadamard_first_register(psi), hadamard @ psi.amps),
+                                  (oracle_apply(psi, f), oracle @ psi.amps)):
+                assert_block_holds(got)
+                assert got.block.dtype == psi.block.dtype
+                assert np.allclose(got.amps, expected)
+            # an all-zero column keeps its place through the Hadamard layer
+            assert np.array_equal(hadamard_first_register(psi).columns, psi.columns)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_oracle_stage_columns_are_the_images_of_f(n):
+    for f in (random_two_to_one(n, 1, n), random_bijection(n, n)):
+        stages = run_stages(f)
+        assert stages[Stage.HADAMARD].columns.tolist() == [0]
+        images = np.unique(f.table)
+        assert np.array_equal(stages[Stage.ORACLE].columns, images)
+        assert np.array_equal(stages[Stage.FINAL_HADAMARD].columns, images)
+    # a bijection fills every column
+    assert images.size == 1 << n
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_measurement_of_random_states_matches_the_projection(n):
+    rng = np.random.default_rng(200 + n)
+    size = 1 << n
+    f = random_two_to_one(n, 1, n)
+    for seed, psi in enumerate(random_block_states(rng, n)):
+        observed, collapsed = measure_second_register(psi, f, seed)
+        grid = psi.amps.reshape(size, size)
+        assert np.abs(grid[:, observed]).sum() > 0.0
+        projected = np.zeros_like(grid)
+        projected[:, observed] = grid[:, observed]
+        assert collapsed.columns.tolist() == [observed]
+        assert_block_holds(collapsed)
+        assert np.allclose(collapsed.amps, projected.reshape(-1) / np.linalg.norm(projected))
+        assert np.allclose(second_register_distribution(psi), (np.abs(grid) ** 2).sum(axis=0))
+
+
+def test_circuit_layers_never_build_the_full_vector():
+    n = 8
+    f = random_two_to_one(n, 0b10110101, 8)
+    stages = run_stages(f)
+    _, collapsed = measure_second_register(stages[Stage.ORACLE], f, 8)
+    states = [*stages.values(), collapsed, hadamard_first_register(collapsed)]
+    for psi in states:
+        assert psi.magnitude_histogram[1].sum() >= 1.0
+        first_register_distribution(psi)
+        second_register_distribution(psi)
+    assert not [psi for psi in states if "amps" in vars(psi)]
+    # the N x N/2 oracle-stage block is the largest array any stage holds
+    assert max(psi.block.size for psi in states) == (1 << 2 * n) // 2
+
+
 # -------------------------------------------------------------- function table
 
 
@@ -485,7 +596,8 @@ def test_born_weights_match_the_full_grid_reference_bit_for_bit(monkeypatch):
             grid[:, rng.permutation(size)[:empty]] = 0.0
             psi = StateVector(n, n, grid / np.linalg.norm(grid))
             observed, _ = measure_second_register(psi, f, n)
-            probs = second_register_distribution(psi)
+            probs = (np.abs(psi.amps.reshape(size, size)) ** 2).sum(axis=0)
+            assert np.allclose(second_register_distribution(psi), probs)
             support = np.flatnonzero(probs > 0.0)
             expected = probs[support] / probs[support].sum()
             assert np.array_equal(bits(drawn_with.pop()), bits(expected))
