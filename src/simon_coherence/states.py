@@ -31,6 +31,11 @@ __all__ = [
     "second_register_distribution",
 ]
 
+# Below this many entries the float butterflies beat the int8 path's extra passes.
+_SIGNED_MIN_ENTRIES = 1 << 13
+# Entries squared at a time by first_register_distribution.
+_SQUARED_CHUNK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class StateVector:
@@ -81,7 +86,8 @@ class StateVector:
                             ("columns", columns), ("block", block)):
             object.__setattr__(self, name, value)
         norm = float(np.linalg.norm(block))
-        if abs(norm - 1.0) > TOL.norm:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= TOL.norm:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     @property
@@ -105,9 +111,21 @@ def magnitude_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Zero amplitudes are left out.  Both arrays are read-only.
     """
     amps = np.asarray(amps).reshape(-1)
-    # most circuit stages are mostly zeros, so dropping them first leaves little to sort
-    values, counts = np.unique(np.abs(amps[amps != 0.0]), return_counts=True)
-    counts = counts.astype(np.float64)
+    # most circuit stages are mostly zeros, so dropping them first leaves little
+    # to sort; the one filtered copy is then made absolute and sorted in place
+    values = amps[amps != 0.0]
+    if np.iscomplexobj(values):
+        values = np.abs(values)
+    else:
+        np.abs(values, out=values)
+    values.sort()
+    # the run lengths of the sorted magnitudes, as np.unique counts them
+    bounds = np.empty(values.size + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(values[1:], values[:-1], out=bounds[1:-1])
+    edges = np.flatnonzero(bounds)
+    counts = np.diff(edges).astype(np.float64)
+    values = values[edges[:-1]]
     values.flags.writeable = False
     counts.flags.writeable = False
     return values, counts
@@ -133,16 +151,40 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     within each column, so it keeps the columns and runs in-place butterflies
     on a copy of the block.  Every amplitude sees the same additions and the
     same final scaling as in a transform of the full grid.
+
+    A large real block whose every entry is +0.0 or +-m, with at most two
+    nonzeros per column (each oracle stage of the circuit), runs the same
+    unnormalized butterflies on its int8 sign pattern k instead.  The result
+    has the same bits: every partial sum of a column is 0, +-m or +-2m, so
+    each float addition of the butterflies is exact and never makes -0.0,
+    and the float result fl(k*m * c) equals k * fl(m * c) for
+    c = fl(1/sqrt(N)) and k in {0, +-1, +-2}.
     """
     rows = 1 << psi.n_first
     if rows == 1:
         return psi
-    a = psi.block.copy()
-    width = psi.columns.size
-    spare = np.empty(rows // 2 * width, dtype=a.dtype)
+    # multiply by the rounded reciprocal, as numpy divides complex by real, so a
+    # real state and its complex copy scale to the same bits
+    scale = 1.0 / math.sqrt(rows)
+    signed = _sign_pattern(psi.block)
+    if signed is None:
+        a = psi.block.copy()
+        _butterflies(a)
+        a *= scale
+    else:
+        signs, m = signed
+        _butterflies(signs)
+        a = np.multiply(signs, m * scale, dtype=np.float64)
+    return StateVector.from_block(psi.n_first, psi.n_second, psi.columns, a)
+
+
+def _butterflies(a: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard butterflies down the rows of ``a``, in place."""
+    rows = a.shape[0]
+    spare = np.empty(a.size // 2, dtype=a.dtype)
     h = 1
     while h < rows:
-        pairs = a.reshape(rows // (2 * h), 2, h * width)
+        pairs = a.reshape(rows // (2 * h), 2, h * a.shape[1])
         top = pairs[:, 0, :]
         bottom = pairs[:, 1, :]
         saved = spare.reshape(top.shape)
@@ -150,10 +192,35 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
         np.add(top, bottom, out=top)
         np.subtract(saved, bottom, out=bottom)
         h *= 2
-    # multiply by the rounded reciprocal, as numpy divides complex by real, so a
-    # real state and its complex copy scale to the same bits
-    a *= 1.0 / math.sqrt(rows)
-    return StateVector.from_block(psi.n_first, psi.n_second, psi.columns, a)
+
+
+def _sign_pattern(block: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(int8 k, m > 0) with ``block == k * m`` when the real block has at least
+    ``_SIGNED_MIN_ENTRIES`` entries, each +0.0 or +-m, and no column holds more
+    than two nonzeros; None otherwise."""
+    if block.dtype != np.float64 or block.size < _SIGNED_MIN_ENTRIES:
+        return None
+    first = block[:, 0]
+    nonzero = first[first != 0.0]
+    if nonzero.size == 0:
+        return None
+    m = abs(float(nonzero[0]))
+    plus = np.equal(block, m)
+    minus = np.equal(block, -m)
+    # a column count never exceeds the row count, so this type cannot wrap
+    count = np.uint16 if block.shape[0] < 1 << 16 else np.uint32
+    per_column = np.add.reduce(plus.view(np.uint8), axis=0, dtype=count)
+    per_column += np.add.reduce(minus.view(np.uint8), axis=0, dtype=count)
+    if per_column.max() > 2:
+        return None
+    # +0.0 is the one entry whose bits are all zero, so another magnitude, a
+    # -0.0 or a NaN leaves the entries counted short of the block size
+    positive_zeros = np.count_nonzero(np.equal(block.view(np.uint64), 0))
+    if int(per_column.sum()) + positive_zeros != block.size:
+        return None
+    signs = plus.view(np.int8)
+    np.subtract(signs, minus.view(np.int8), out=signs)
+    return signs, m
 
 
 def density_of(psi: StateVector) -> np.ndarray:
@@ -226,8 +293,17 @@ def require_alpha(alpha: float) -> None:
 
 
 def first_register_distribution(psi: StateVector) -> np.ndarray:
-    """Born probabilities p[x] = sum_z |amp(x, z)|^2 over first-register values."""
-    return (np.abs(psi.block) ** 2).sum(axis=1)
+    """Born probabilities p[x] = sum_z |amp(x, z)|^2 over first-register values.
+
+    Each row is summed on its own, so squaring a few rows at a time gives the
+    bits of one sum over the whole block without its full-size temporary.
+    """
+    block = psi.block
+    probs = np.empty(block.shape[0])
+    step = max(1, _SQUARED_CHUNK_ENTRIES // block.shape[1])
+    for start in range(0, block.shape[0], step):
+        probs[start:start + step] = _born_weights(block[start:start + step]).sum(axis=1)
+    return probs
 
 
 def column_weights(psi: StateVector) -> np.ndarray:
@@ -236,7 +312,7 @@ def column_weights(psi: StateVector) -> np.ndarray:
     Two or more columns are summed row by row, so each weight has the same
     bits as in a sum over the full grid; numpy sums a single column pairwise.
     """
-    return (np.abs(psi.block) ** 2).sum(axis=0)
+    return _born_weights(psi.block).sum(axis=0)
 
 
 def second_register_distribution(psi: StateVector) -> np.ndarray:
@@ -244,6 +320,11 @@ def second_register_distribution(psi: StateVector) -> np.ndarray:
     probs = np.zeros(1 << psi.n_second)
     probs[psi.columns] = column_weights(psi)
     return probs
+
+
+def _born_weights(block: np.ndarray) -> np.ndarray:
+    """|amp|^2 entrywise; a real amplitude is squared directly, as |x| * |x| == x * x."""
+    return np.abs(block) ** 2 if np.iscomplexobj(block) else np.square(block)
 
 
 def _joint_vector(psi: StateVector) -> np.ndarray:

@@ -161,8 +161,8 @@ def test_run_beyond_dense_limit_drops_dense_route(capsys):
 def test_run_capability_limits(capsys):
     code, _, err = run_cli(capsys, ["run", "--n", "6", "--seed", "0", "--dense", "on"])
     assert code == EXIT_CAPABILITY and "n <= 5" in err
-    code, _, err = run_cli(capsys, ["run", "--n", "12", "--seed", "0"])
-    assert code == EXIT_CAPABILITY and "n <= 11" in err
+    code, _, err = run_cli(capsys, ["run", "--n", "13", "--seed", "0"])
+    assert code == EXIT_CAPABILITY and "n <= 12" in err
 
 
 def test_run_function_file_round_trip(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simon_coherence import states
 from simon_coherence import (
     FunctionTableError,
     SimonFunction,
@@ -385,7 +386,7 @@ def occupied_columns(psi: StateVector) -> int:
     return int(psi.amps.reshape(1 << psi.n_first, -1).any(axis=0).sum())
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 10, 11])
 def test_layers_match_the_full_grid_reference_bit_for_bit(n):
     columns_seen = set()
     for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
@@ -407,7 +408,29 @@ def test_layers_match_the_full_grid_reference_bit_for_bit(n):
     assert {1 / (1 << n), 0.5, 1.0} <= columns_seen
 
 
-def test_random_states_match_the_full_grid_reference_bit_for_bit():
+def record_sign_patterns(monkeypatch) -> list[bool]:
+    """Whether each later Hadamard layer ran its butterflies on an int8 sign pattern."""
+    taken = []
+    original = states._sign_pattern
+
+    def recording(block):
+        signed = original(block)
+        taken.append(signed is not None)
+        return signed
+
+    monkeypatch.setattr(states, "_sign_pattern", recording)
+    return taken
+
+
+def signed_grid(rng: np.random.Generator, size: int) -> np.ndarray:
+    """+-1 at two distinct random rows of every column."""
+    grid = np.zeros((size, size))
+    for z in range(size):
+        grid[rng.choice(size, 2, replace=False), z] = rng.choice([-1.0, 1.0], 2)
+    return grid
+
+
+def test_random_states_match_the_full_grid_reference_bit_for_bit(monkeypatch):
     # random amplitudes make every butterfly round, unlike the circuit's r * small integers
     rng = np.random.default_rng(11)
     n = 4
@@ -420,6 +443,44 @@ def test_random_states_match_the_full_grid_reference_bit_for_bit():
         assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
         assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
     assert psi.amps.dtype == np.complex128
+
+    # blocks at the edge of the int8 path, large enough to be considered for it
+    n, size = 7, 128
+    one_magnitude = signed_grid(rng, size)
+    three_in_a_column = one_magnitude.copy()
+    three_in_a_column[np.flatnonzero(three_in_a_column[:, 5] == 0.0)[0], 5] = 1.0
+    two_magnitudes = one_magnitude.copy()
+    two_magnitudes[np.flatnonzero(two_magnitudes[:, 9])[0], 9] *= 2.0
+    # a column holding only -0.0 keeps a -0.0 in the float result (row 127)
+    negative_zero = one_magnitude.copy()
+    negative_zero[:, 3] = 0.0
+    negative_zero[0, 3] = -0.0
+    complex_one_magnitude = one_magnitude * np.where(rng.random((size, size)) < 0.5, 1.0, 1j)
+    cases = [(one_magnitude, True), (three_in_a_column, False), (two_magnitudes, False),
+             (negative_zero, False), (complex_one_magnitude, False)]
+    taken = record_sign_patterns(monkeypatch)
+    for grid, signed in cases:
+        # from_block keeps the -0.0 column, which the amplitude constructor would drop
+        psi = StateVector.from_block(n, n, np.arange(size), grid / np.linalg.norm(grid))
+        assert psi.block.size >= states._SIGNED_MIN_ENTRIES
+        out = hadamard_first_register(psi).amps
+        assert np.array_equal(bits(out), bits(reference_hadamard(psi)))
+        assert taken.pop() is signed
+        if grid is negative_zero:
+            assert np.signbit(out[(size - 1) * size + 3])
+
+
+def test_the_circuit_hadamard_layers_run_on_sign_patterns(monkeypatch):
+    # the layer on |0...0> is one column and stays on the float butterflies;
+    # the layer on the oracle stage runs on its sign pattern once it is large
+    taken = record_sign_patterns(monkeypatch)
+    for n in (7, 10):
+        for f in (random_two_to_one(n, 1, n), random_bijection(n, n)):
+            run_stages(f)
+            assert taken == [False, True]
+            taken.clear()
+    run_stages(random_two_to_one(6, 1, 6))
+    assert taken == [False, False]
 
 
 # ------------------------------------------------- column blocks vs matrices

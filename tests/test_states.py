@@ -15,8 +15,12 @@ from simon_coherence import (
     hermitian_eig,
     matrix_power,
     purity,
+    random_bijection,
+    random_two_to_one,
+    run_stages,
     second_register_distribution,
 )
+from simon_coherence.states import magnitude_histogram
 from conftest import random_mixed_density, random_pure_density, real_mixed_density
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -38,6 +42,11 @@ def test_state_vector_rejects_wrong_length():
 def test_state_vector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(1, 0, np.array([1.0, 1.0]))
+    # a NaN norm compares false against any bound, so it must fail the check, not pass it
+    for bad in (math.nan, math.inf, -math.inf):
+        for amps in ([bad, 0.0, 0.0, 0.0], [1.0, 0.0, bad, 0.0], [complex(bad, 0.0), 0, 0, 0]):
+            with pytest.raises(ValueError):
+                StateVector(2, 0, np.array(amps))
 
 
 def test_state_vector_rejects_empty_registers():
@@ -129,6 +138,41 @@ def test_density_invariants_on_random_states():
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-12
         assert abs(purity(rho) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------- magnitude histogram
+
+
+def unique_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    amps = np.asarray(amps).reshape(-1)
+    values, counts = np.unique(np.abs(amps[amps != 0.0]), return_counts=True)
+    return values, counts.astype(np.float64)
+
+
+def test_magnitude_histogram_matches_unique_bit_for_bit():
+    rng = np.random.default_rng(41)
+    blocks = [
+        rng.standard_normal((16, 8)),
+        rng.integers(-3, 4, (32, 16)) * 0.1,  # few magnitudes, both signs, many zeros
+        rng.integers(-2, 3, (8, 8)) * (0.5 + 0.5j),
+        rng.standard_normal(64) + 1j * rng.standard_normal(64),
+        np.zeros((4, 4)),
+        np.array([-0.0, 0.0, 0.25, -0.25]),
+    ]
+    for f in (random_two_to_one(5, 0b10110, 3), random_bijection(5, 3), random_two_to_one(8, 1, 8)):
+        blocks += [psi.block for psi in run_stages(f).values()]
+    for block in blocks:
+        values, counts = magnitude_histogram(block)
+        expected_values, expected_counts = unique_histogram(block)
+        assert values.dtype == expected_values.dtype
+        assert np.array_equal(values.view(np.uint64), expected_values.view(np.uint64))
+        assert np.array_equal(counts, expected_counts)
+        assert not values.flags.writeable and not counts.flags.writeable
+    # the block itself is not modified by the in-place absolute value
+    block = rng.integers(-3, 4, (8, 8)) * 0.1
+    kept = block.copy()
+    magnitude_histogram(block)
+    assert np.array_equal(block, kept)
 
 
 # ------------------------------------------------------------------------- eig
@@ -251,6 +295,19 @@ def test_first_register_distribution_split_state():
     psi = StateVector(1, 2, amps)
     assert np.allclose(first_register_distribution(psi), [0.5, 0.5])
     assert np.allclose(second_register_distribution(psi), [0.5, 0.5, 0.0, 0.0])
+
+
+def test_first_register_distribution_matches_one_sum_bit_for_bit():
+    # blocks of several squaring chunks, one not a whole number of them, and one column
+    rng = np.random.default_rng(43)
+    real = rng.standard_normal((1024, 100))
+    raw = rng.standard_normal((1024, 100)) + 1j * rng.standard_normal((1024, 100))
+    states = [StateVector.from_block(10, 7, np.arange(100), grid / np.linalg.norm(grid)) for grid in (real, raw)]
+    for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
+        states += list(run_stages(f).values())
+    for psi in states:
+        expected = (np.abs(psi.block) ** 2).sum(axis=1)
+        assert np.array_equal(first_register_distribution(psi).view(np.uint64), expected.view(np.uint64))
 
 
 def test_distributions_sum_to_one():
