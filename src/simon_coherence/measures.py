@@ -12,9 +12,11 @@ invariant under basis relabeling:
 * l_1 coherence, the sum of off-diagonal magnitudes.
 
 ``FAMILIES`` names each kind with its parameter.  Dense-path functions take
-a density matrix; ``pure_state_coherence`` evaluates the same quantities
-from the histogram of a pure state's amplitude magnitudes, and
-``route_values`` gathers every route's value for one measure.
+a density matrix and run on all of it; a zero row and column add exactly 0 to
+every measure, so ``density_of`` builds rho on a state's support only.
+``pure_state_coherence`` evaluates the same quantities from the histogram of
+a pure state's amplitude magnitudes, and ``route_values`` gathers every
+route's value for one measure.
 """
 
 from __future__ import annotations
@@ -146,43 +148,18 @@ def tsallis_coherence(rho: np.ndarray, alpha: float) -> float:
 
 def l1p_coherence(rho: np.ndarray, p: float) -> float:
     """l_{1,p} coherence: the sum over columns of the column-wise l_p norms of
-    rho with its diagonal removed.
-
-    Works on the principal submatrix of ``_support(rho)``, zeroed on the
-    diagonal and raised to p in place; the other columns have norm 0.  Each
-    column is summed row by row, so the dropped zero rows change no bits, and
-    the norms are summed over all N columns, as on the full matrix.
-    """
+    rho with its diagonal removed."""
     _require_p(p)
-    rho = np.asarray(rho)
-    support = _support(rho)
-    sub = rho[np.ix_(support, support)]
-    # the submatrix is a fresh copy, so real magnitudes can overwrite it
-    mags = np.abs(sub, out=sub if sub.dtype == np.float64 else None)
+    mags = np.abs(np.asarray(rho))
     np.fill_diagonal(mags, 0.0)
     mags **= p
-    column_norms = np.zeros(rho.shape[0])
-    column_norms[support] = mags.sum(axis=0) ** (1.0 / p)
-    return _clamp(float(column_norms.sum()))
+    return _clamp(float((mags.sum(axis=0) ** (1.0 / p)).sum()))
 
 
 def relative_entropy_coherence(rho: np.ndarray) -> float:
-    """S(diag(rho)) - S(rho) in bits; spectrum at or below the floor contributes 0.
-
-    The spectrum is taken on the principal submatrix of ``_support(rho)``.
-    Every other index splits off exactly as an eigenvalue 0, which adds
-    nothing to S(rho).
-    """
+    """S(diag(rho)) - S(rho) in bits; spectrum at or below the floor contributes 0."""
     rho = np.asarray(rho)
-    support = _support(rho)
-    spectrum = np.linalg.eigvalsh(rho[np.ix_(support, support)])
-    return _clamp(_shannon_bits(np.diag(rho).real) - _shannon_bits(spectrum))
-
-
-def _support(rho: np.ndarray) -> np.ndarray:
-    """The indices whose row or column of rho holds a nonzero entry.  Both are
-    tested because ``eigvalsh`` reads only one triangle."""
-    return np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    return _clamp(_shannon_bits(np.diag(rho).real) - _shannon_bits(np.linalg.eigvalsh(rho)))
 
 
 def skew_information_coherence(rho: np.ndarray) -> float:

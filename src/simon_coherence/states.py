@@ -33,7 +33,7 @@ __all__ = [
 
 # Below this many entries the float butterflies beat the int8 path's extra passes.
 _SIGNED_MIN_ENTRIES = 1 << 13
-# Entries squared at a time by first_register_distribution.
+# Entries squared at a time by first_register_distribution and column_weights.
 _SQUARED_CHUNK_ENTRIES = 1 << 15
 
 
@@ -224,16 +224,20 @@ def _sign_pattern(block: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 
 def density_of(psi: StateVector) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| in the dtype of the amplitudes.
+    """Rank-one density matrix |psi><psi| on the support of psi.
 
-    A real state, as at every stage of the Simon circuit, gives the real
-    symmetric float64 outer product, and the dense route downstream runs in
-    real arithmetic.  A complex state gives a complex128 matrix.
+    The matrix is v v^dagger for the nonzero amplitudes v in joint-index
+    order: the principal submatrix of the full N^2 x N^2 outer product on the
+    indices where psi is nonzero, with the same bits.  Every row and column
+    left out is zero, and adds exactly 0 to every coherence measure.  A real
+    state, as at every stage of the Simon circuit, gives a real symmetric
+    float64 matrix, so the dense route downstream runs in real arithmetic; a
+    complex state gives a complex128 matrix.
     """
-    # a joint vector that dies here, not psi.amps: one kept alive with each
-    # state between the N^2 matrices of the dense route fragments the heap
-    amps = _joint_vector(psi)
-    return np.outer(amps, amps.conj())
+    # the block's C order over the sorted occupied columns is joint-index order
+    flat = psi.block.reshape(-1)
+    support = flat[flat != 0.0]
+    return np.outer(support, support.conj())
 
 
 def purity(rho: np.ndarray) -> float:
@@ -309,10 +313,25 @@ def first_register_distribution(psi: StateVector) -> np.ndarray:
 def column_weights(psi: StateVector) -> np.ndarray:
     """Born weight sum_x |amp(x, z)|^2 of each occupied column z, in ``psi.columns`` order.
 
-    Two or more columns are summed row by row, so each weight has the same
-    bits as in a sum over the full grid; numpy sums a single column pairwise.
+    numpy sums the rows of a C-contiguous block of two or more columns one
+    after another, ((r0 + r1) + r2) + ..., so the rows are squared a chunk at
+    a time into one buffer whose row 0 carries the running sums: the weights
+    have the bits of one sum over the whole block without its full-size
+    temporary.  numpy sums a single column pairwise, so that is summed whole.
     """
-    return _born_weights(psi.block).sum(axis=0)
+    block = psi.block
+    rows, width = block.shape
+    if width == 1:
+        return _born_weights(block).sum(axis=0)
+    step = max(1, _SQUARED_CHUNK_ENTRIES // width)
+    # the first chunk adds its rows to +0.0, which no nonnegative weight changes
+    buffer = np.zeros((min(step, rows) + 1, width))
+    for start in range(0, rows, step):
+        chunk = block[start:start + step]
+        filled = buffer[:chunk.shape[0] + 1]
+        _born_weights(chunk, out=filled[1:])
+        buffer[0] = filled.sum(axis=0)
+    return buffer[0].copy()
 
 
 def second_register_distribution(psi: StateVector) -> np.ndarray:
@@ -322,9 +341,12 @@ def second_register_distribution(psi: StateVector) -> np.ndarray:
     return probs
 
 
-def _born_weights(block: np.ndarray) -> np.ndarray:
-    """|amp|^2 entrywise; a real amplitude is squared directly, as |x| * |x| == x * x."""
-    return np.abs(block) ** 2 if np.iscomplexobj(block) else np.square(block)
+def _born_weights(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|amp|^2 entrywise, into ``out`` if given; a real amplitude is squared
+    directly, as |x| * |x| == x * x."""
+    if np.iscomplexobj(block):
+        return np.square(np.abs(block, out=out), out=out)
+    return np.square(block, out=out)
 
 
 def _joint_vector(psi: StateVector) -> np.ndarray:

@@ -26,4 +26,4 @@ TOL = Tolerances()
 MAX_ORACLE_BITS = 20       # function tables and generated oracles: 2^n entries
 MAX_CLOSED_FORM_BITS = 20  # closed forms, checked up to dimension 2^n
 MAX_SIM_QUBITS = 12        # joint state vector of 2^(2n) amplitudes
-MAX_DENSE_QUBITS = 5       # dense 2^(2n) x 2^(2n) density matrix
+MAX_DENSE_QUBITS = 5       # density matrix on a stage's support, up to 2^(2n) square

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from simon_coherence import SimonFunction
+from simon_coherence import (
+    SimonFunction,
+    Stage,
+    hadamard_first_register,
+    measure_second_register,
+    random_bijection,
+    random_two_to_one,
+    run_stages,
+)
 
 
 @pytest.fixture
@@ -40,3 +48,12 @@ def real_mixed_density(rng: np.random.Generator, spectrum) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     rho = (q * np.asarray(spectrum, dtype=float)) @ q.T
     return (rho + rho.T) / 2
+
+
+def circuit_states(n: int):
+    """Every stage, post-measure included, for a two-to-one f and a bijection."""
+    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
+        stages = run_stages(f)
+        _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
+        yield from stages.values()
+        yield hadamard_first_register(collapsed)

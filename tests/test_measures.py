@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
 
-from conftest import random_amplitudes, random_mixed_density, real_mixed_density
+from conftest import circuit_states, random_amplitudes, random_mixed_density, real_mixed_density
 from simon_coherence import (
     DEFAULT_PANEL,
     FAMILIES,
@@ -30,7 +30,6 @@ from simon_coherence import (
     l1_coherence,
     l1p,
     l1p_coherence,
-    measure_second_register,
     oracle_apply,
     pure_state_coherence,
     random_bijection,
@@ -333,15 +332,6 @@ def ulps_from(value: float, exact: Fraction) -> float:
     return float(abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact))))
 
 
-def circuit_states(n: int):
-    """Every stage, post-measure included, for a two-to-one f and a bijection."""
-    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
-        stages = run_stages(f)
-        _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
-        yield from stages.values()
-        yield hadamard_first_register(collapsed)
-
-
 @pytest.mark.parametrize("n", range(1, 8))
 def test_pure_l1_and_skew_info_are_within_ulps_of_exact_values(n):
     for psi in circuit_states(n):
@@ -462,7 +452,7 @@ def test_index_with_only_a_lower_triangle_entry_stays_in_the_eigen_problem(monke
     expected = full_spectrum_rel_entropy(rho)
     shapes = record_eigvalsh_shapes(monkeypatch)
     value = relative_entropy_coherence(rho)
-    assert shapes == [(3, 3)]
+    assert shapes == [(4, 4)]
     assert abs(value - expected) < 1e-12
     # dropping index 1 would leave diag(1/2, 1/2), whose value is 0
     assert expected > 1e-3
@@ -476,6 +466,35 @@ def test_dense_rel_entropy_eigen_problems_cover_only_the_support(monkeypatch):
     assert all(shape == (size, size) for shape, size in zip(shapes, sizes))
     # initial, Hadamard, oracle, final, post-measure: two-to-one f, then a bijection
     assert sizes == [1, 8, 8, 16, 4] + [1, 8, 8, 64, 8]
+
+
+def full_density(psi) -> np.ndarray:
+    return np.outer(psi.amps, psi.amps.conj())
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dense_measures_on_the_support_match_the_full_matrix(n):
+    measures = ALL_KINDS_PANEL + (tsallis(1.5), l1p(1.5))
+    for psi in circuit_states(n):
+        rho = density_of(psi)
+        full = full_density(psi)
+        for measure in measures:
+            assert abs(dense_coherence(rho, measure) - dense_coherence(full, measure)) < 1e-12, measure.label()
+
+
+def test_dense_measures_on_the_support_of_complex_states_match_the_full_matrix():
+    rng = np.random.default_rng(89)
+    measures = ALL_KINDS_PANEL + (tsallis(1.5), l1p(1.5))
+    for n_first, n_second in ((1, 1), (2, 2), (3, 2)):
+        dim = 1 << (n_first + n_second)
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        raw[rng.random(dim) < 0.5] = 0.0
+        raw[1] = 0.5j
+        psi = StateVector(n_first, n_second, raw / np.linalg.norm(raw))
+        rho = density_of(psi)
+        assert rho.shape[0] == np.count_nonzero(raw) < dim
+        for measure in measures:
+            assert abs(dense_coherence(rho, measure) - dense_coherence(full_density(psi), measure)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
 
 from simon_coherence import (
+    Stage,
     StateVector,
     basis_state,
     density_of,
@@ -20,8 +21,8 @@ from simon_coherence import (
     run_stages,
     second_register_distribution,
 )
-from simon_coherence.states import magnitude_histogram
-from conftest import random_mixed_density, random_pure_density, real_mixed_density
+from simon_coherence.states import column_weights, magnitude_histogram
+from conftest import circuit_states, random_mixed_density, random_pure_density, real_mixed_density
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -98,7 +99,7 @@ def test_hadamard_preserves_norm_and_is_involution(n1, n2, seed):
 
 def test_density_of_basis_state():
     rho = density_of(basis_state(1, 0, 0))
-    assert np.array_equal(rho, [[1, 0], [0, 0]])
+    assert np.array_equal(rho, [[1.0]])
 
 
 def test_density_of_plus_state():
@@ -109,14 +110,39 @@ def test_density_of_plus_state():
 def test_density_of_uniform_first_register_block():
     psi = hadamard_first_register(basis_state(2, 2, 0))
     rho = density_of(psi)
-    expected = np.zeros((16, 16))
-    for x in range(4):
-        for y in range(4):
-            expected[x * 4, y * 4] = 0.25
-    assert np.abs(rho - expected).max() < 1e-15
-    assert np.array_equal(rho, rho.T)
+    assert np.array_equal(rho, np.full((4, 4), 0.25))
     assert abs(np.trace(rho) - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(rho).min() > -1e-12
+
+
+def full_outer_on_support(psi):
+    """The principal submatrix of the full |psi><psi| on the indices where psi is nonzero."""
+    support = np.flatnonzero(psi.amps)
+    return np.outer(psi.amps, psi.amps.conj())[np.ix_(support, support)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_density_of_is_the_full_outer_product_on_the_support_bit_for_bit(n):
+    for psi in circuit_states(n):
+        rho = density_of(psi)
+        assert "amps" not in vars(psi)
+        expected = full_outer_on_support(psi)
+        assert rho.dtype == expected.dtype == np.float64
+        assert np.array_equal(rho.view(np.uint64), expected.view(np.uint64))
+
+
+def test_density_of_random_complex_states_with_exact_zeros():
+    rng = np.random.default_rng(79)
+    for n_first, n_second in ((1, 1), (2, 1), (2, 3), (3, 2)):
+        dim = 1 << (n_first + n_second)
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        raw[rng.random(dim) < 0.4] = 0.0
+        raw[0] = 1.0
+        psi = normalized_state(n_first, n_second, raw)
+        rho = density_of(psi)
+        assert "amps" not in vars(psi)
+        expected = full_outer_on_support(psi)
+        assert rho.dtype == np.complex128
+        assert np.array_equal(rho.view(np.uint64), expected.view(np.uint64))
 
 
 def test_density_of_is_real_exactly_when_every_amplitude_is():
@@ -308,6 +334,23 @@ def test_first_register_distribution_matches_one_sum_bit_for_bit():
     for psi in states:
         expected = (np.abs(psi.block) ** 2).sum(axis=1)
         assert np.array_equal(first_register_distribution(psi).view(np.uint64), expected.view(np.uint64))
+
+
+def test_column_weights_match_one_sum_bit_for_bit():
+    # real and complex blocks of one squaring chunk or several, some rows not a
+    # whole number of chunks, and one or two columns
+    rng = np.random.default_rng(83)
+    states = []
+    for rows, width in ((2048, 100), (1024, 97), (32768, 3), (32768, 2), (8, 2), (65536, 1), (64, 1)):
+        for grid in (rng.standard_normal((rows, width)),
+                     rng.standard_normal((rows, width)) + 1j * rng.standard_normal((rows, width))):
+            columns = np.arange(width)
+            states.append(StateVector.from_block(rows.bit_length() - 1, 7, columns, grid / np.linalg.norm(grid)))
+    for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
+        states.append(run_stages(f)[Stage.ORACLE])
+    for psi in states:
+        expected = (np.abs(psi.block) ** 2).sum(axis=0)
+        assert np.array_equal(column_weights(psi).view(np.uint64), expected.view(np.uint64)), psi.block.shape
 
 
 def test_distributions_sum_to_one():
