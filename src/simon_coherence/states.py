@@ -313,16 +313,15 @@ def first_register_distribution(psi: StateVector) -> np.ndarray:
 def column_weights(psi: StateVector) -> np.ndarray:
     """Born weight sum_x |amp(x, z)|^2 of each occupied column z, in ``psi.columns`` order.
 
-    numpy sums the rows of a C-contiguous block of two or more columns one
-    after another, ((r0 + r1) + r2) + ..., so the rows are squared a chunk at
-    a time into one buffer whose row 0 carries the running sums: the weights
-    have the bits of one sum over the whole block without its full-size
-    temporary.  numpy sums a single column pairwise, so that is summed whole.
+    The rows are squared a chunk at a time into one buffer whose row 0
+    carries the running sums, so no full-size temporary is made.  numpy sums
+    the rows of a C-contiguous block of two or more columns one after
+    another, ((r0 + r1) + r2) + ..., so those weights have the bits of one
+    sum over the whole block; a single column, which numpy sums pairwise,
+    may differ from that sum in the last bits.
     """
     block = psi.block
     rows, width = block.shape
-    if width == 1:
-        return _born_weights(block).sum(axis=0)
     step = max(1, _SQUARED_CHUNK_ENTRIES // width)
     # the first chunk adds its rows to +0.0, which no nonnegative weight changes
     buffer = np.zeros((min(step, rows) + 1, width))

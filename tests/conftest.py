@@ -4,6 +4,7 @@ import pytest
 from simon_coherence import (
     SimonFunction,
     Stage,
+    StateVector,
     hadamard_first_register,
     measure_second_register,
     random_bijection,
@@ -57,3 +58,14 @@ def circuit_states(n: int):
         _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
         yield from stages.values()
         yield hadamard_first_register(collapsed)
+
+
+def complex_states_with_zeros(seed: int):
+    """Complex random states on 2 to 5 qubits with some amplitudes exactly zero."""
+    rng = np.random.default_rng(seed)
+    for n_first, n_second in ((1, 1), (2, 1), (2, 3), (3, 2)):
+        dim = 1 << (n_first + n_second)
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        raw[rng.random(dim) < 0.4] = 0.0
+        raw[0], raw[-1] = 1.0, 0.0
+        yield StateVector(n_first, n_second, raw / np.linalg.norm(raw))

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
 
-from conftest import circuit_states, random_amplitudes, random_mixed_density, real_mixed_density
+from conftest import circuit_states, complex_states_with_zeros, random_amplitudes, random_mixed_density, real_mixed_density
 from simon_coherence import (
     DEFAULT_PANEL,
     FAMILIES,
@@ -472,29 +473,19 @@ def full_density(psi) -> np.ndarray:
     return np.outer(psi.amps, psi.amps.conj())
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_dense_measures_on_the_support_match_the_full_matrix(n):
+@pytest.mark.parametrize(
+    "states",
+    [pytest.param(partial(circuit_states, n), id=str(n)) for n in range(1, 6)]
+    + [pytest.param(partial(complex_states_with_zeros, 89), id="complex")],
+)
+def test_dense_measures_on_the_support_match_the_full_matrix(states):
     measures = ALL_KINDS_PANEL + (tsallis(1.5), l1p(1.5))
-    for psi in circuit_states(n):
+    for psi in states():
         rho = density_of(psi)
         full = full_density(psi)
+        assert rho.shape[0] == np.count_nonzero(psi.amps)
         for measure in measures:
             assert abs(dense_coherence(rho, measure) - dense_coherence(full, measure)) < 1e-12, measure.label()
-
-
-def test_dense_measures_on_the_support_of_complex_states_match_the_full_matrix():
-    rng = np.random.default_rng(89)
-    measures = ALL_KINDS_PANEL + (tsallis(1.5), l1p(1.5))
-    for n_first, n_second in ((1, 1), (2, 2), (3, 2)):
-        dim = 1 << (n_first + n_second)
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        raw[rng.random(dim) < 0.5] = 0.0
-        raw[1] = 0.5j
-        psi = StateVector(n_first, n_second, raw / np.linalg.norm(raw))
-        rho = density_of(psi)
-        assert rho.shape[0] == np.count_nonzero(raw) < dim
-        for measure in measures:
-            assert abs(dense_coherence(rho, measure) - dense_coherence(full_density(psi), measure)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 6))
