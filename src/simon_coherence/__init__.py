@@ -7,68 +7,12 @@ two superposition stages, and recovers the hidden mask from measurement
 samples with GF(2) elimination.
 """
 
-from .closed_forms import (
-    REGIME_DEPLETION,
-    REGIME_NEUTRAL,
-    REGIME_PRODUCTION,
-    RegimeVerdict,
-    classify_regime,
-    coherence_delta,
-    final_stage_coherence,
-    final_stage_l1_candidates,
-    hadamard_stage_coherence,
-    stage_coherence,
-    uniform_superposition_coherence,
-)
-from .measures import (
-    DEFAULT_PANEL,
-    FAMILIES,
-    L1,
-    METHOD_CLOSED,
-    METHOD_DENSE,
-    METHOD_PURE,
-    REL_ENTROPY,
-    SKEW_INFO,
-    CoherenceMeasure,
-    dense_coherence,
-    l1_coherence,
-    l1p,
-    l1p_coherence,
-    pure_state_coherence,
-    relative_entropy_coherence,
-    route_values,
-    skew_information_coherence,
-    tsallis,
-    tsallis_coherence,
-)
-from .recovery import Gf2System, RecoveryReport, add_constraint, recover, solve_nullspace
-from .simon import (
-    FunctionTableError,
-    SimonFunction,
-    Stage,
-    bits_to_int,
-    dot_mod2,
-    format_function_table,
-    int_to_bits,
-    measure_second_register,
-    oracle_apply,
-    parse_function_table,
-    random_bijection,
-    random_two_to_one,
-    run_stages,
-    validate_function,
-)
-from .states import (
-    StateVector,
-    basis_state,
-    density_of,
-    first_register_distribution,
-    hadamard_first_register,
-    hermitian_eig,
-    matrix_power,
-    purity,
-    second_register_distribution,
-)
+from . import closed_forms, measures, recovery, simon, states
+from .closed_forms import *
+from .measures import *
+from .recovery import *
+from .simon import *
+from .states import *
 from .tolerances import TOL, Tolerances
 
 __version__ = "0.1.0"
@@ -76,62 +20,9 @@ __version__ = "0.1.0"
 __all__ = [
     "TOL",
     "Tolerances",
-    "StateVector",
-    "basis_state",
-    "hadamard_first_register",
-    "density_of",
-    "purity",
-    "hermitian_eig",
-    "matrix_power",
-    "first_register_distribution",
-    "second_register_distribution",
-    "Stage",
-    "SimonFunction",
-    "FunctionTableError",
-    "bits_to_int",
-    "int_to_bits",
-    "dot_mod2",
-    "random_two_to_one",
-    "random_bijection",
-    "validate_function",
-    "oracle_apply",
-    "run_stages",
-    "measure_second_register",
-    "format_function_table",
-    "parse_function_table",
-    "FAMILIES",
-    "CoherenceMeasure",
-    "tsallis",
-    "l1p",
-    "REL_ENTROPY",
-    "SKEW_INFO",
-    "L1",
-    "DEFAULT_PANEL",
-    "METHOD_DENSE",
-    "METHOD_PURE",
-    "METHOD_CLOSED",
-    "tsallis_coherence",
-    "l1p_coherence",
-    "relative_entropy_coherence",
-    "skew_information_coherence",
-    "l1_coherence",
-    "dense_coherence",
-    "pure_state_coherence",
-    "route_values",
-    "REGIME_PRODUCTION",
-    "REGIME_NEUTRAL",
-    "REGIME_DEPLETION",
-    "RegimeVerdict",
-    "uniform_superposition_coherence",
-    "hadamard_stage_coherence",
-    "final_stage_coherence",
-    "final_stage_l1_candidates",
-    "stage_coherence",
-    "coherence_delta",
-    "classify_regime",
-    "Gf2System",
-    "RecoveryReport",
-    "add_constraint",
-    "solve_nullspace",
-    "recover",
+    *states.__all__,
+    *simon.__all__,
+    *measures.__all__,
+    *closed_forms.__all__,
+    *recovery.__all__,
 ]

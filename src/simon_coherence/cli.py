@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from itertools import groupby
@@ -218,8 +219,9 @@ class _Check(NamedTuple):
 
 
 def _agreement(values) -> tuple[float, bool]:
-    """The spread between values that must agree, and whether it is below TOL.cross_method."""
-    spread = float(max(values) - min(values))
+    """The spread between values that must agree, and whether it is below
+    TOL.cross_method; a NaN among the values makes the spread NaN, which fails."""
+    spread = math.nan if any(map(math.isnan, values)) else float(max(values) - min(values))
     return spread, spread < TOL.cross_method
 
 
@@ -346,8 +348,8 @@ def _l1_conflict_report(seed: int) -> dict:
         rho = density_of(run_stages(f)[Stage.FINAL_HADAMARD])
         dense_value = measures.l1_coherence(rho)
         candidates = closed_forms.final_stage_l1_candidates(1 << n_probe)
-        quarter_ok = abs(dense_value - candidates["quarter_form"]) < TOL.cross_method
-        half_ok = abs(dense_value - candidates["half_form"]) < TOL.cross_method
+        _, quarter_ok = _agreement((dense_value, candidates["quarter_form"]))
+        _, half_ok = _agreement((dense_value, candidates["half_form"]))
         matches = L1_QUARTER_FORM if quarter_ok else (L1_HALF_FORM if half_ok else "neither")
         if matches != L1_QUARTER_FORM:
             confirmed = matches

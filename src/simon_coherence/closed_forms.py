@@ -2,9 +2,11 @@
 
 After the first Hadamard layer the state is an equal-magnitude superposition
 over N = 2^n basis states; after the oracle and second Hadamard layer it is
-one over N^2/4 (for a nonzero pairing mask).  Every panel measure therefore
-admits a closed form in N alone, evaluated here in floating point without
-building any state, which keeps dimensions up to 2^20 cheap.
+one over N^2/4 (for a nonzero pairing mask).  Every panel measure of an
+equal-magnitude superposition over K states has one closed form in K,
+``uniform_superposition_coherence``, so each stage's closed form is that
+value at the stage's support: N, then N^2/4.  Nothing here builds a state,
+which keeps dimensions up to 2^20 cheap.
 
 The change ``final - hadamard`` is positive for every panel measure when
 N > 4, zero at N = 4, and negative when N < 4, so the second half of the
@@ -89,27 +91,10 @@ def hadamard_stage_coherence(dim: int, measure: CoherenceMeasure) -> float:
 
 
 def final_stage_coherence(dim: int, measure: CoherenceMeasure) -> float:
-    """Closed form after the second Hadamard layer, for a nonzero pairing mask.
-
-    Written in the dim-explicit shape rather than by substituting the
-    support count, so cross-checks against ``uniform_superposition_coherence``
-    at support dim^2/4 exercise genuinely different arithmetic.
-    """
+    """Closed form after the second Hadamard layer, for a nonzero pairing mask:
+    a uniform superposition over dim^2/4."""
     _require_dim(dim)
-    n = float(dim)
-    kind = measure.kind
-    if kind == "tsallis":
-        alpha = measure.param
-        if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
-            return math.log(n * n / 4.0)
-        return (4.0 ** (1.0 / alpha - 1.0) * n ** (2.0 - 2.0 / alpha) - 1.0) / (alpha - 1.0)
-    if kind == "l1p":
-        return (n * n / 4.0 - 1.0) ** (1.0 / measure.param)
-    if kind == "rel_entropy":
-        return math.log2(n * n / 4.0)
-    if kind == "skew_info":
-        return 1.0 - 4.0 / (n * n)
-    return n * n / 4.0 - 1.0
+    return uniform_superposition_coherence(dim * dim // 4, measure)
 
 
 def final_stage_l1_candidates(dim: int) -> dict[str, float]:

@@ -211,13 +211,11 @@ def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasur
         alpha = measure.param
         if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
             return math.log(2.0) * _shannon_bits(probs, counts)
-        require_alpha(alpha)
         kept = probs > TOL.diag_power_floor
         roots = np.exp(np.log(probs[kept]) / alpha)
         return _clamp((counts[kept] @ roots - 1.0) / (alpha - 1.0))
     if kind == "l1p":
         p = measure.param
-        _require_p(p)
         powered = mags**p
         complements = np.clip(counts @ powered - powered, 0.0, None)
         return _clamp(float(counts @ (mags * complements ** (1.0 / p))))

@@ -118,42 +118,36 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
     """Check the table against its declared mask.
 
     Returns (True, None) on success, else (False, diagnostic) naming the
-    first violating input pair.
+    first violating input pair.  Equal values sit next to each other in a
+    stable sort of the table, so f(x) = f(y) for some y not in {x, x ^ s}
+    exactly when two neighbours there are equal and do not differ by s.
     """
-    size = 1 << f.n
-    xs = np.arange(size)
-    if f.s == 0:
-        values, first_index = np.unique(f.table, return_index=True)
-        if values.size == size:
-            return True, None
-        order = np.argsort(f.table, kind="stable")
-        sorted_vals = f.table[order]
-        k = int(np.flatnonzero(sorted_vals[1:] == sorted_vals[:-1])[0])
-        a, b = int(order[k]), int(order[k + 1])
+    n, s = f.n, f.s
+    if s:
+        mismatched = np.flatnonzero(f.table != f.table[np.arange(1 << n) ^ s])
+        if mismatched.size:
+            x = int(mismatched[0])
+            return False, (
+                f"f({int_to_bits(x, n)}) = {int_to_bits(f(x), n)} but "
+                f"f({int_to_bits(x ^ s, n)}) = {int_to_bits(f(x ^ s), n)}; "
+                f"expected f(x) = f(x xor s) for s = {int_to_bits(s, n)}"
+            )
+    order = np.argsort(f.table, kind="stable")
+    sorted_vals = f.table[order]
+    clashes = np.flatnonzero((sorted_vals[1:] == sorted_vals[:-1]) & ((order[1:] ^ order[:-1]) != s))
+    if not clashes.size:
+        return True, None
+    k = int(clashes[0])
+    a, b = int(order[k]), int(order[k + 1])
+    if s == 0:
         return False, (
-            f"declared bijective but f({int_to_bits(a, f.n)}) = "
-            f"f({int_to_bits(b, f.n)}) = {int_to_bits(int(sorted_vals[k]), f.n)}"
+            f"declared bijective but f({int_to_bits(a, n)}) = "
+            f"f({int_to_bits(b, n)}) = {int_to_bits(int(sorted_vals[k]), n)}"
         )
-    mismatched = np.flatnonzero(f.table != f.table[xs ^ f.s])
-    if mismatched.size:
-        x = int(mismatched[0])
-        return False, (
-            f"f({int_to_bits(x, f.n)}) = {int_to_bits(f(x), f.n)} but "
-            f"f({int_to_bits(x ^ f.s, f.n)}) = {int_to_bits(f(x ^ f.s), f.n)}; "
-            f"expected f(x) = f(x xor s) for s = {int_to_bits(f.s, f.n)}"
-        )
-    if np.unique(f.table).size != size // 2:
-        order = np.argsort(f.table, kind="stable")
-        sorted_vals = f.table[order]
-        for k in np.flatnonzero(sorted_vals[1:] == sorted_vals[:-1]):
-            a, b = int(order[k]), int(order[k + 1])
-            if a ^ b != f.s:
-                return False, (
-                    f"f({int_to_bits(a, f.n)}) = f({int_to_bits(b, f.n)}) but "
-                    f"{int_to_bits(a, f.n)} xor {int_to_bits(b, f.n)} != "
-                    f"{int_to_bits(f.s, f.n)}"
-                )
-    return True, None
+    return False, (
+        f"f({int_to_bits(a, n)}) = f({int_to_bits(b, n)}) but "
+        f"{int_to_bits(a, n)} xor {int_to_bits(b, n)} != {int_to_bits(s, n)}"
+    )
 
 
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:

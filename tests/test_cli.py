@@ -10,6 +10,7 @@ from simon_coherence.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SEED_ENV_VAR,
+    _agreement,
     _build_panel,
     build_parser,
     main,
@@ -470,3 +471,31 @@ def test_default_flags_build_the_default_panel():
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, ["--help"])[0] == EXIT_OK
     assert run_cli(capsys, ["run", "--help"])[0] == EXIT_OK
+
+
+# --------------------------------------------------------- small orders, NaN
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_agreement_flags_a_nan_in_any_position(position):
+    values = [1.0, 1.0, 1.0]
+    values[position] = math.nan
+    spread, ok = _agreement(values)
+    assert math.isnan(spread) and not ok
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "5", "--alphas", "0.001,0.5"],
+        ["verify", "--n", "5", "--seed", "1", "--alphas", "0.001,0.5"],
+        ["sweep", "--n-max", "20", "--alphas", "0.001"],
+    ],
+)
+def test_small_tsallis_orders_run_clean(capsys, argv):
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    text = json.dumps(doc)
+    assert "NaN" not in text and "Infinity" not in text
+    assert not any(row["flagged"] for row in doc.get("discrepancies", []))
+    assert doc.get("ok", True)

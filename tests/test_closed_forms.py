@@ -75,17 +75,12 @@ def test_stage_forms_reject_bad_dimensions(dim):
 # --------------------------------------------------- internal cross-checks
 
 
-def test_final_stage_is_uniform_form_at_quarter_support():
-    """The dim-explicit final forms must equal the generic uniform forms at dim^2/4."""
-    for n in range(1, 11):
+@pytest.mark.parametrize("alpha", [2.0**-10, 1e-3, 1e-300, 5e-324])
+def test_tsallis_closed_forms_stay_finite_at_small_alpha(alpha):
+    for n in range(1, 21):
         dim = 1 << n
-        for measure in SPOT_CHECK_MEASURES:
-            via_uniform = uniform_superposition_coherence(dim * dim // 4, measure)
-            explicit = final_stage_coherence(dim, measure)
-            assert math.isclose(explicit, via_uniform, rel_tol=1e-12, abs_tol=1e-12), (
-                measure.label(),
-                dim,
-            )
+        assert math.isfinite(final_stage_coherence(dim, tsallis(alpha))), n
+        assert math.isfinite(coherence_delta(dim, tsallis(alpha))), n
 
 
 def test_tsallis_delta_explicit_expression():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +141,26 @@ def test_validate_function_catches_fake_bijection():
     ok, why = validate_function(f)
     assert not ok
     assert "bijective" in why
+
+
+def violates_mask(table, s: int, x: int, y: int) -> bool:
+    """Whether inputs x, y break the rule f(x) = f(y) <=> y in {x, x xor s}."""
+    return (table[x] == table[y]) != (y in (x, x ^ s))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_validate_function_matches_brute_force_on_every_small_table(n):
+    size = 1 << n
+    for table in itertools.product(range(size), repeat=size):
+        for s in range(size):
+            ok, why = validate_function(SimonFunction(n, table, s))
+            pairs = list(itertools.product(range(size), repeat=2))
+            assert ok == (not any(violates_mask(table, s, x, y) for x, y in pairs)), (table, s)
+            if ok:
+                assert why is None
+                continue
+            x, y = (int(bits, 2) for bits in re.findall(r"f\(([01]+)\)", why)[:2])
+            assert violates_mask(table, s, x, y), (table, s, why)
 
 
 @settings(max_examples=25, deadline=None)
