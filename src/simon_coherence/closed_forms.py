@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DEFAULT_PANEL, CoherenceMeasure
+from .measures import DEFAULT_PANEL, L1, CoherenceMeasure
 from .simon import Stage
 from .tolerances import MAX_CLOSED_FORM_BITS, TOL
 
@@ -52,7 +52,6 @@ REGIME_DEPLETION = "depletion"
 class RegimeVerdict:
     """Per-measure coherence changes at a dimension and their common sign."""
 
-    dim: int
     deltas: dict[CoherenceMeasure, float]
     regime: str
 
@@ -105,9 +104,9 @@ def final_stage_l1_candidates(dim: int) -> dict[str, float]:
     both be right: dense simulation (n = 2 gives 3, n = 3 gives 15) confirms
     the quarter form.
     """
-    _require_dim(dim)
+    quarter = final_stage_coherence(dim, L1)
     n = float(dim)
-    return {"quarter_form": n * n / 4.0 - 1.0, "half_form": n * n / 2.0 - 1.0}
+    return {"quarter_form": quarter, "half_form": n * n / 2.0 - 1.0}
 
 
 def stage_coherence(stage: Stage, dim: int, s: int, measure: CoherenceMeasure) -> float | None:
@@ -129,12 +128,14 @@ def coherence_delta(dim: int, measure: CoherenceMeasure) -> float:
     return final_stage_coherence(dim, measure) - hadamard_stage_coherence(dim, measure)
 
 
-def classify_regime(dim: int, band: float = TOL.neutral_band) -> RegimeVerdict:
+def classify_regime(dim: int) -> RegimeVerdict:
     """Sign of the coherence change over the standard measure panel.
 
-    The panel must agree: all deltas above +band, all below -band, or all
-    inside the band.  Mixed signs indicate an internal inconsistency.
+    The panel must agree: all deltas above +TOL.neutral_band, all below
+    -TOL.neutral_band, or all inside that band.  Mixed signs indicate an
+    internal inconsistency.
     """
+    band = TOL.neutral_band
     deltas = {measure: coherence_delta(dim, measure) for measure in DEFAULT_PANEL}
     values = np.array(list(deltas.values()))
     if (values > band).all():
@@ -145,4 +146,4 @@ def classify_regime(dim: int, band: float = TOL.neutral_band) -> RegimeVerdict:
         regime = REGIME_NEUTRAL
     else:
         raise ArithmeticError(f"inconsistent delta signs at dim={dim}: {deltas}")
-    return RegimeVerdict(dim, deltas, regime)
+    return RegimeVerdict(deltas, regime)

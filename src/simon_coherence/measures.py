@@ -134,15 +134,17 @@ def tsallis_coherence(rho: np.ndarray, alpha: float) -> float:
     """Tsallis relative-entropy coherence of order alpha.
 
     Orders within TOL.tsallis_limit_window of 1 delegate to the alpha -> 1
-    limit, ln(2) times the relative entropy of coherence.
+    limit, ln(2) times the relative entropy of coherence; ``matrix_power``
+    rejects any other order outside (0,1) or (1,2].
     """
     if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
         return math.log(2.0) * relative_entropy_coherence(rho)
-    require_alpha(alpha)
     powered = matrix_power(rho, alpha)
     diag = np.diag(powered).real
     safe = np.where(diag > TOL.diag_power_floor, diag, 1.0)
-    roots = np.where(diag > TOL.diag_power_floor, np.exp(np.log(safe) / alpha), 0.0)
+    # a tiny order overflows log(safe) / alpha to -inf, and exp(-inf) = 0 is the right root
+    with np.errstate(over="ignore"):
+        roots = np.where(diag > TOL.diag_power_floor, np.exp(np.log(safe) / alpha), 0.0)
     return _clamp((roots.sum() - 1.0) / (alpha - 1.0))
 
 
@@ -212,7 +214,9 @@ def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasur
         if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
             return math.log(2.0) * _shannon_bits(probs, counts)
         kept = probs > TOL.diag_power_floor
-        roots = np.exp(np.log(probs[kept]) / alpha)
+        # as in tsallis_coherence, a tiny order's -inf exponent gives the right root 0
+        with np.errstate(over="ignore"):
+            roots = np.exp(np.log(probs[kept]) / alpha)
         return _clamp((counts[kept] @ roots - 1.0) / (alpha - 1.0))
     if kind == "l1p":
         p = measure.param

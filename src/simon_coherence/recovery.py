@@ -84,11 +84,14 @@ def solve_nullspace(system: Gf2System) -> list[int]:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Outcome of one recovery run; s_hat is None when the query budget ran out."""
+    """Outcome of one recovery run.
+
+    ``s_hat`` is the mask a collision query confirmed, 0 once rank n shows f
+    is bijective, or None when the query budget ran out.
+    """
 
     s_hat: int | None
     queries: int
-    verified: bool
     rank: int
 
 
@@ -112,13 +115,13 @@ def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryR
         if system.rank == f.n - 1:
             (candidate,) = solve_nullspace(system)
             if f(0) == f(candidate):
-                return RecoveryReport(candidate, queries, True, system.rank)
+                return RecoveryReport(candidate, queries, system.rank)
             # collision refuted: f must be bijective, keep sampling to rank n
         elif system.rank == f.n:
             # every nonzero mask is refuted by some constraint, so f is bijective
-            return RecoveryReport(0, queries, True, system.rank)
+            return RecoveryReport(0, queries, system.rank)
         if queries >= max_queries:
-            return RecoveryReport(None, queries, False, system.rank)
+            return RecoveryReport(None, queries, system.rank)
         y = int(support[rng.choice(support.size, p=weights)])
         queries += 1
         system = add_constraint(system, y)

@@ -22,7 +22,6 @@ __all__ = [
     "FunctionTableError",
     "bits_to_int",
     "int_to_bits",
-    "dot_mod2",
     "random_two_to_one",
     "random_bijection",
     "validate_function",
@@ -43,11 +42,6 @@ def bits_to_int(bits: str) -> int:
 
 def int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b")
-
-
-def dot_mod2(a: int, b: int) -> int:
-    """Inner product of two bit vectors modulo 2."""
-    return (a & b).bit_count() & 1
 
 
 class Stage(Enum):

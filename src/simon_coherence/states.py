@@ -22,13 +22,10 @@ __all__ = [
     "magnitude_histogram",
     "hadamard_first_register",
     "density_of",
-    "purity",
-    "is_rank_one",
     "hermitian_eig",
     "matrix_power",
     "first_register_distribution",
     "column_weights",
-    "second_register_distribution",
 ]
 
 # Below this many entries the float butterflies beat the int8 path's extra passes.
@@ -90,14 +87,12 @@ class StateVector:
         if not abs(norm - 1.0) <= TOL.norm:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
-    @property
-    def dim(self) -> int:
-        return 1 << (self.n_first + self.n_second)
-
     @cached_property
     def amps(self) -> np.ndarray:
         """The flat joint amplitude vector, zero outside ``columns``."""
-        return _joint_vector(self)
+        grid = np.zeros((1 << self.n_first, 1 << self.n_second), self.block.dtype)
+        grid[:, self.columns] = self.block
+        return grid.reshape(-1)
 
     @cached_property
     def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +156,6 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     c = fl(1/sqrt(N)) and k in {0, +-1, +-2}.
     """
     rows = 1 << psi.n_first
-    if rows == 1:
-        return psi
     # multiply by the rounded reciprocal, as numpy divides complex by real, so a
     # real state and its complex copy scale to the same bits
     scale = 1.0 / math.sqrt(rows)
@@ -240,17 +233,6 @@ def density_of(psi: StateVector) -> np.ndarray:
     return np.outer(support, support.conj())
 
 
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2) of a Hermitian matrix, via the squared Frobenius norm."""
-    rho = np.asarray(rho)
-    return float(np.vdot(rho, rho).real)
-
-
-def is_rank_one(rho: np.ndarray) -> bool:
-    """Purity within TOL.rank_one of 1 certifies a largest eigenvalue that close to 1."""
-    return purity(rho) >= 1.0 - TOL.rank_one
-
-
 def hermitian_eig(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues ascending, orthonormal eigenvector columns) of a Hermitian matrix.
 
@@ -281,7 +263,9 @@ def matrix_power(rho: np.ndarray, alpha: float) -> np.ndarray:
     require_alpha(alpha)
     rho = _as_float_array(rho)
     _require_square(rho)
-    if is_rank_one(rho):
+    # purity tr(rho^2), the squared Frobenius norm, within TOL.rank_one of 1
+    # certifies a largest eigenvalue that close to 1
+    if float(np.vdot(rho, rho).real) >= 1.0 - TOL.rank_one:
         return rho
     values, vectors = hermitian_eig(rho)
     floored = np.where(values > TOL.eigenvalue_floor, values, 0.0)
@@ -333,25 +317,12 @@ def column_weights(psi: StateVector) -> np.ndarray:
     return buffer[0].copy()
 
 
-def second_register_distribution(psi: StateVector) -> np.ndarray:
-    """Born probabilities p[z] = sum_x |amp(x, z)|^2 over second-register values."""
-    probs = np.zeros(1 << psi.n_second)
-    probs[psi.columns] = column_weights(psi)
-    return probs
-
-
 def _born_weights(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|amp|^2 entrywise, into ``out`` if given; a real amplitude is squared
     directly, as |x| * |x| == x * x."""
     if np.iscomplexobj(block):
         return np.square(np.abs(block, out=out), out=out)
     return np.square(block, out=out)
-
-
-def _joint_vector(psi: StateVector) -> np.ndarray:
-    grid = np.zeros((1 << psi.n_first, 1 << psi.n_second), psi.block.dtype)
-    grid[:, psi.columns] = psi.block
-    return grid.reshape(-1)
 
 
 def _require_registers(n_first: int, n_second: int) -> None:

@@ -11,6 +11,7 @@ from simon_coherence import (
     random_two_to_one,
     run_stages,
 )
+from simon_coherence.states import column_weights
 
 
 @pytest.fixture
@@ -23,6 +24,16 @@ def f_two_qubit() -> SimonFunction:
 def f_three_qubit() -> SimonFunction:
     # mask 110, image set {101, 010, 000, 110}
     return SimonFunction(3, [0b101, 0b010, 0b000, 0b110, 0b000, 0b110, 0b101, 0b010], 0b110)
+
+
+def dot_mod2(a: int, b: int) -> int:
+    """Inner product of two bit vectors modulo 2."""
+    return (a & b).bit_count() & 1
+
+
+def second_register_distribution(psi: StateVector) -> np.ndarray:
+    """Born probabilities p[z] = sum_x |amp(x, z)|^2 over second-register values."""
+    return np.bincount(psi.columns, column_weights(psi), 1 << psi.n_second)
 
 
 def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:

