@@ -149,16 +149,21 @@ def _parse_mask(s_text: str, n: int) -> int:
         raise UsageError(str(exc)) from None
 
 
-def _random_mask(n: int, seed: int) -> int:
-    rng = np.random.default_rng(_subseed(seed, 0))
-    return int(rng.integers(1, 1 << n))
-
-
 def _build_oracle(n: int, s: int, seed: int, *, trial: int | None = None) -> SimonFunction:
     key = (1,) if trial is None else (4, trial)
     if s == 0:
         return random_bijection(n, _subseed(seed, *key))
     return random_two_to_one(n, s, _subseed(seed, *key))
+
+
+def _oracle_from_flags(args, seed: int) -> SimonFunction:
+    """The oracle on ``--n`` bits with mask ``--s``, or with a nonzero mask drawn
+    from the seed when ``--s`` is omitted."""
+    if args.s is not None:
+        s = _parse_mask(args.s, args.n)
+    else:
+        s = int(np.random.default_rng(_subseed(seed, 0)).integers(1, 1 << args.n))
+    return _build_oracle(args.n, s, seed)
 
 
 def _load_oracle(args, seed: int) -> SimonFunction:
@@ -176,8 +181,7 @@ def _load_oracle(args, seed: int) -> SimonFunction:
     if args.n is None:
         raise UsageError("--n is required when no --function-file is given")
     _require_n(args.n, MAX_SIM_QUBITS, "state-vector simulation")
-    s = _parse_mask(args.s, args.n) if args.s is not None else _random_mask(args.n, seed)
-    return _build_oracle(args.n, s, seed)
+    return _oracle_from_flags(args, seed)
 
 
 def _dense_enabled(mode: str, n: int) -> bool:
@@ -289,10 +293,9 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     panel, panel_config = _build_panel(args)
     _require_n(args.n, MAX_DENSE_QUBITS, "verify, which needs the dense path,")
-    s = _parse_mask(args.s, args.n) if args.s is not None else _random_mask(args.n, seed)
-    if s == 0:
+    f = _oracle_from_flags(args, seed)
+    if f.s == 0:
         raise UsageError("verify requires a nonzero mask; the final-stage closed forms assume one")
-    f = _build_oracle(args.n, s, seed)
 
     stages = run_stages(f)
     verified = (Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD)
@@ -459,9 +462,7 @@ def cmd_sweep(args) -> int:
 def cmd_gen_oracle(args) -> int:
     seed = _resolve_seed(args.seed)
     _require_n(args.n, MAX_ORACLE_BITS, "oracle generation")
-    s = _parse_mask(args.s, args.n) if args.s is not None else _random_mask(args.n, seed)
-    f = _build_oracle(args.n, s, seed)
-    _emit(format_function_table(f), args.output)
+    _emit(format_function_table(_oracle_from_flags(args, seed)), args.output)
     return EXIT_OK
 
 

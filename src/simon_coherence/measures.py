@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .states import StateVector, magnitude_histogram, matrix_power, require_alpha
+from .states import StateVector, matrix_power, require_alpha
 from .tolerances import TOL
 
 __all__ = [
@@ -190,7 +190,7 @@ def dense_coherence(rho: np.ndarray, measure: CoherenceMeasure) -> float:
     return l1_coherence(rho)
 
 
-def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasure) -> float:
+def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
     """Evaluate a measure from pure-state amplitudes without forming the matrix.
 
     Every measure of a pure state depends only on the multiset of amplitude
@@ -198,15 +198,11 @@ def pure_state_coherence(psi: StateVector | np.ndarray, measure: CoherenceMeasur
     nonzero magnitudes m (probabilities p = m^2) with a function of them:
     l1 = (c.m)^2 - c.p, skew_info = 1 - c.p^2, rel_entropy = -c.(p log2 p),
     tsallis = (c.p^(1/alpha) - 1) / (alpha - 1) and
-    l1p = c.(m (S_p - m^p)^(1/p)) with S_p = c.m^p.  A ``StateVector``
-    computes its histogram once and shares it across a panel; an array is
-    histogrammed on each call.  Agrees with the dense path on |psi><psi|
-    within TOL.cross_method.
+    l1p = c.(m (S_p - m^p)^(1/p)) with S_p = c.m^p.  The state computes its
+    histogram once and shares it across a panel.  Agrees with the dense path
+    on |psi><psi| within TOL.cross_method.
     """
-    if isinstance(psi, StateVector):
-        mags, counts = psi.magnitude_histogram
-    else:
-        mags, counts = magnitude_histogram(psi)
+    mags, counts = psi.magnitude_histogram
     probs = mags**2
     kind = measure.kind
     if kind == "tsallis":

@@ -162,9 +162,9 @@ def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     columns = np.flatnonzero(hit)
     slot = np.empty(1 << f.n, dtype=np.intp)
     slot[columns] = np.arange(columns.size)
-    block = np.zeros((psi.block.shape[0], columns.size), psi.block.dtype)
+    block = np.zeros((psi.block.shape[0], columns.size))
     block[np.arange(block.shape[0])[:, None], slot[targets]] = psi.block
-    return StateVector.from_block(psi.n_first, psi.n_second, columns, block)
+    return StateVector(psi.n_first, psi.n_second, columns, block)
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
@@ -203,8 +203,7 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
     k = int(support[rng.choice(support.size, p=weights)])
     column = psi.block[:, k]
     collapsed = (column / np.linalg.norm(column)).reshape(-1, 1)
-    return int(psi.columns[k]), StateVector.from_block(psi.n_first, psi.n_second, psi.columns[k:k + 1],
-                                                       collapsed)
+    return int(psi.columns[k]), StateVector(psi.n_first, psi.n_second, psi.columns[k:k + 1], collapsed)
 
 
 class FunctionTableError(ValueError):

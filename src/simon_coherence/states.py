@@ -34,18 +34,17 @@ _SIGNED_MIN_ENTRIES = 1 << 13
 _SQUARED_CHUNK_ENTRIES = 1 << 15
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitudes over the joint register basis, held by column.
+    """Normalized real amplitudes over the joint register basis, held by column.
 
-    ``columns`` is the sorted, read-only array of second-register values z
-    whose column may hold a nonzero amplitude, and ``block`` the C-contiguous
-    ``(2^n_first, len(columns))`` array of those columns; every amplitude
-    outside ``columns`` is zero.  A Simon circuit stage occupies one column or
-    N/2 of them, so no layer touches the full grid.  Real amplitudes are held
-    in float64, as at every stage of the circuit; complex amplitudes in
-    complex128.  ``amps`` and ``magnitude_histogram`` are computed on first
-    use and kept with the state.
+    ``columns`` is the sorted array of second-register values z whose column
+    may hold a nonzero amplitude, made read-only here, and ``block`` the
+    C-contiguous float64 ``(2^n_first, len(columns))`` array of those columns;
+    every amplitude outside ``columns`` is zero.  Both arrays are kept, not
+    copied.  A Simon circuit stage occupies one column or N/2 of them, so no
+    layer touches the full grid.  ``amps`` and ``magnitude_histogram`` are
+    computed on first use and kept with the state.
     """
 
     n_first: int
@@ -53,35 +52,15 @@ class StateVector:
     columns: np.ndarray
     block: np.ndarray
 
-    def __init__(self, n_first: int, n_second: int, amps) -> None:
-        """The state of the flat joint amplitude vector ``amps``; the columns
-        holding a nonzero amplitude are copied into the block."""
-        _require_registers(n_first, n_second)
-        amps = _as_float_array(amps).reshape(-1)
-        dim = 1 << (n_first + n_second)
-        if amps.size != dim:
-            raise ValueError(f"expected {dim} amplitudes, got {amps.size}")
-        grid = amps.reshape(1 << n_first, 1 << n_second)
-        columns = np.flatnonzero(grid.any(axis=0))
-        self._hold(n_first, n_second, columns, grid.take(columns, axis=1))
-
-    @classmethod
-    def from_block(cls, n_first: int, n_second: int, columns: np.ndarray, block: np.ndarray) -> StateVector:
-        """The state whose second-register ``columns`` (sorted, distinct) hold
-        ``block``; both arrays are kept, not copied."""
-        _require_registers(n_first, n_second)
-        psi = cls.__new__(cls)
-        psi._hold(n_first, n_second, columns, block)
-        return psi
-
-    def _hold(self, n_first: int, n_second: int, columns: np.ndarray, block: np.ndarray) -> None:
-        if block.shape != (1 << n_first, columns.size) or not block.flags.c_contiguous:
-            raise ValueError(f"block of shape {block.shape} does not hold {columns.size} columns "
-                             f"of {1 << n_first} rows contiguously")
-        columns.flags.writeable = False
-        for name, value in (("n_first", n_first), ("n_second", n_second),
-                            ("columns", columns), ("block", block)):
-            object.__setattr__(self, name, value)
+    def __post_init__(self) -> None:
+        _require_registers(self.n_first, self.n_second)
+        block = self.block
+        if block.dtype != np.float64:
+            raise ValueError(f"block must hold float64 amplitudes, got {block.dtype}")
+        if block.shape != (1 << self.n_first, self.columns.size) or not block.flags.c_contiguous:
+            raise ValueError(f"block of shape {block.shape} does not hold {self.columns.size} columns "
+                             f"of {1 << self.n_first} rows contiguously")
+        self.columns.flags.writeable = False
         norm = float(np.linalg.norm(block))
         # written so that a NaN norm fails too
         if not abs(norm - 1.0) <= TOL.norm:
@@ -90,7 +69,7 @@ class StateVector:
     @cached_property
     def amps(self) -> np.ndarray:
         """The flat joint amplitude vector, zero outside ``columns``."""
-        grid = np.zeros((1 << self.n_first, 1 << self.n_second), self.block.dtype)
+        grid = np.zeros((1 << self.n_first, 1 << self.n_second))
         grid[:, self.columns] = self.block
         return grid.reshape(-1)
 
@@ -109,10 +88,7 @@ def magnitude_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # most circuit stages are mostly zeros, so dropping them first leaves little
     # to sort; the one filtered copy is then made absolute and sorted in place
     values = amps[amps != 0.0]
-    if np.iscomplexobj(values):
-        values = np.abs(values)
-    else:
-        np.abs(values, out=values)
+    np.abs(values, out=values)
     values.sort()
     # the run lengths of the sorted magnitudes, as np.unique counts them
     bounds = np.empty(values.size + 1, dtype=bool)
@@ -134,7 +110,7 @@ def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
     block = np.zeros((1 << n_first, 1))
     block[index >> n_second, 0] = 1.0
-    return StateVector.from_block(n_first, n_second, np.array([index & ((1 << n_second) - 1)]), block)
+    return StateVector(n_first, n_second, np.array([index & ((1 << n_second) - 1)]), block)
 
 
 def hadamard_first_register(psi: StateVector) -> StateVector:
@@ -147,7 +123,7 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     on a copy of the block.  Every amplitude sees the same additions and the
     same final scaling as in a transform of the full grid.
 
-    A large real block whose every entry is +0.0 or +-m, with at most two
+    A large block whose every entry is +0.0 or +-m, with at most two
     nonzeros per column (each oracle stage of the circuit), runs the same
     unnormalized butterflies on its int8 sign pattern k instead.  The result
     has the same bits: every partial sum of a column is 0, +-m or +-2m, so
@@ -155,10 +131,7 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     and the float result fl(k*m * c) equals k * fl(m * c) for
     c = fl(1/sqrt(N)) and k in {0, +-1, +-2}.
     """
-    rows = 1 << psi.n_first
-    # multiply by the rounded reciprocal, as numpy divides complex by real, so a
-    # real state and its complex copy scale to the same bits
-    scale = 1.0 / math.sqrt(rows)
+    scale = 1.0 / math.sqrt(1 << psi.n_first)
     signed = _sign_pattern(psi.block)
     if signed is None:
         a = psi.block.copy()
@@ -168,7 +141,7 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
         signs, m = signed
         _butterflies(signs)
         a = np.multiply(signs, m * scale, dtype=np.float64)
-    return StateVector.from_block(psi.n_first, psi.n_second, psi.columns, a)
+    return StateVector(psi.n_first, psi.n_second, psi.columns, a)
 
 
 def _butterflies(a: np.ndarray) -> None:
@@ -188,10 +161,10 @@ def _butterflies(a: np.ndarray) -> None:
 
 
 def _sign_pattern(block: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(int8 k, m > 0) with ``block == k * m`` when the real block has at least
+    """(int8 k, m > 0) with ``block == k * m`` when the block has at least
     ``_SIGNED_MIN_ENTRIES`` entries, each +0.0 or +-m, and no column holds more
     than two nonzeros; None otherwise."""
-    if block.dtype != np.float64 or block.size < _SIGNED_MIN_ENTRIES:
+    if block.size < _SIGNED_MIN_ENTRIES:
         return None
     first = block[:, 0]
     nonzero = first[first != 0.0]
@@ -219,18 +192,16 @@ def _sign_pattern(block: np.ndarray) -> tuple[np.ndarray, float] | None:
 def density_of(psi: StateVector) -> np.ndarray:
     """Rank-one density matrix |psi><psi| on the support of psi.
 
-    The matrix is v v^dagger for the nonzero amplitudes v in joint-index
-    order: the principal submatrix of the full N^2 x N^2 outer product on the
-    indices where psi is nonzero, with the same bits.  Every row and column
-    left out is zero, and adds exactly 0 to every coherence measure.  A real
-    state, as at every stage of the Simon circuit, gives a real symmetric
-    float64 matrix, so the dense route downstream runs in real arithmetic; a
-    complex state gives a complex128 matrix.
+    The matrix is the real symmetric v v^T for the nonzero amplitudes v in
+    joint-index order: the principal submatrix of the full N^2 x N^2 outer
+    product on the indices where psi is nonzero, with the same bits.  Every
+    row and column left out is zero, and adds exactly 0 to every coherence
+    measure.
     """
     # the block's C order over the sorted occupied columns is joint-index order
     flat = psi.block.reshape(-1)
     support = flat[flat != 0.0]
-    return np.outer(support, support.conj())
+    return np.outer(support, support)
 
 
 def hermitian_eig(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +261,7 @@ def first_register_distribution(psi: StateVector) -> np.ndarray:
     probs = np.empty(block.shape[0])
     step = max(1, _SQUARED_CHUNK_ENTRIES // block.shape[1])
     for start in range(0, block.shape[0], step):
-        probs[start:start + step] = _born_weights(block[start:start + step]).sum(axis=1)
+        probs[start:start + step] = np.square(block[start:start + step]).sum(axis=1)
     return probs
 
 
@@ -312,17 +283,9 @@ def column_weights(psi: StateVector) -> np.ndarray:
     for start in range(0, rows, step):
         chunk = block[start:start + step]
         filled = buffer[:chunk.shape[0] + 1]
-        _born_weights(chunk, out=filled[1:])
+        np.square(chunk, out=filled[1:])
         buffer[0] = filled.sum(axis=0)
     return buffer[0].copy()
-
-
-def _born_weights(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|amp|^2 entrywise, into ``out`` if given; a real amplitude is squared
-    directly, as |x| * |x| == x * x."""
-    if np.iscomplexobj(block):
-        return np.square(np.abs(block, out=out), out=out)
-    return np.square(block, out=out)
 
 
 def _require_registers(n_first: int, n_second: int) -> None:

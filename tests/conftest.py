@@ -36,6 +36,14 @@ def second_register_distribution(psi: StateVector) -> np.ndarray:
     return np.bincount(psi.columns, column_weights(psi), 1 << psi.n_second)
 
 
+def flat_state(n_first: int, n_second: int, amps) -> StateVector:
+    """The state of the flat joint amplitude vector ``amps``, holding only the
+    second-register columns with a nonzero amplitude."""
+    grid = np.asarray(amps).reshape(1 << n_first, 1 << n_second)
+    columns = np.flatnonzero(grid.any(axis=0))
+    return StateVector(n_first, n_second, columns, grid.take(columns, axis=1))
+
+
 def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return amps / np.linalg.norm(amps)
@@ -71,12 +79,12 @@ def circuit_states(n: int):
         yield hadamard_first_register(collapsed)
 
 
-def complex_states_with_zeros(seed: int):
-    """Complex random states on 2 to 5 qubits with some amplitudes exactly zero."""
+def states_with_zeros(seed: int):
+    """Random states on 2 to 5 qubits with some amplitudes exactly zero."""
     rng = np.random.default_rng(seed)
     for n_first, n_second in ((1, 1), (2, 1), (2, 3), (3, 2)):
         dim = 1 << (n_first + n_second)
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        raw = rng.standard_normal(dim)
         raw[rng.random(dim) < 0.4] = 0.0
         raw[0], raw[-1] = 1.0, 0.0
-        yield StateVector(n_first, n_second, raw / np.linalg.norm(raw))
+        yield flat_state(n_first, n_second, raw / np.linalg.norm(raw))

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import fractional_matrix_power
 
-from conftest import circuit_states, complex_states_with_zeros, random_amplitudes, random_mixed_density, real_mixed_density
+from conftest import (
+    circuit_states,
+    flat_state,
+    random_amplitudes,
+    random_mixed_density,
+    real_mixed_density,
+    states_with_zeros,
+)
 from simon_coherence import (
     DEFAULT_PANEL,
     FAMILIES,
@@ -52,6 +59,13 @@ FROZEN_TSALLIS_HALF = 0.13397459621556207
 FROZEN_TSALLIS_TWO = 0.11803398874989468
 
 ALL_KINDS_PANEL = DEFAULT_PANEL + (L1,)
+
+
+def padded_state(amps) -> StateVector:
+    """A one-register state of ``amps`` zero-padded to a power-of-two length;
+    the zeros leave the magnitude histogram unchanged."""
+    n = max(1, (len(amps) - 1).bit_length())
+    return flat_state(n, 0, np.pad(amps, (0, (1 << n) - len(amps))))
 
 
 def positive_density(rng, dim):
@@ -166,7 +180,7 @@ def test_basis_state_has_zero_coherence():
     rho[2, 2] = 1.0
     for measure in ALL_KINDS_PANEL:
         assert dense_coherence(rho, measure) == 0.0
-        assert pure_state_coherence(np.eye(4)[2], measure) == 0.0
+        assert pure_state_coherence(flat_state(2, 0, np.eye(4)[2]), measure) == 0.0
 
 
 def test_diagonal_mixed_states_have_zero_coherence():
@@ -263,9 +277,11 @@ def test_pure_state_fast_path_matches_dense():
     for dim in (2, 3, 4, 8, 16):
         psi = random_amplitudes(rng, dim)
         rho = np.outer(psi, psi.conj())
+        # the pure route reads only magnitudes, which the real state |psi| shares with psi
+        state = padded_state(np.abs(psi))
         for measure in measures:
             dense = dense_coherence(rho, measure)
-            fast = pure_state_coherence(psi, measure)
+            fast = pure_state_coherence(state, measure)
             assert abs(dense - fast) < 1e-9, measure.label()
 
 
@@ -293,13 +309,6 @@ def test_real_and_complex_dense_arithmetic_agree_on_a_known_spectrum():
         assert abs(real_value - complex_value) < TOL.cross_method, measure.label()
 
 
-def test_pure_state_accepts_state_vectors():
-    amps = np.full(16, 0.25)
-    psi = StateVector(2, 2, amps)
-    for measure in ALL_KINDS_PANEL:
-        assert pure_state_coherence(psi, measure) == pure_state_coherence(amps, measure)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -318,9 +327,10 @@ def test_hypothesis_pure_l1_routes_agree(pairs):
         return
     amps = raw / norm
     rho = np.outer(amps, amps.conj())
-    fast = pure_state_coherence(amps, L1)
+    state = padded_state(np.abs(amps))
+    fast = pure_state_coherence(state, L1)
     assert abs(fast - l1_coherence(rho)) < 1e-9
-    assert abs(fast - pure_state_coherence(amps, l1p(1.0))) < 1e-9
+    assert abs(fast - pure_state_coherence(state, l1p(1.0))) < 1e-9
 
 
 # ------------------------------------------------------- magnitude histogram
@@ -361,8 +371,8 @@ def test_magnitude_histogram_is_computed_once_per_state(monkeypatch):
     assert psi.magnitude_histogram is psi.magnitude_histogram
     mags, counts = psi.magnitude_histogram
     assert mags.tolist() == [0.125] and counts.tolist() == [64.0]
-    # an array is histogrammed on the spot, to the same values
-    assert values == [pure_state_coherence(psi.amps, measure) for measure in ALL_KINDS_PANEL]
+    # the state of the full flat vector has the same histogram, so the same values
+    assert values == [pure_state_coherence(flat_state(4, 4, psi.amps), measure) for measure in ALL_KINDS_PANEL]
 
 
 def test_pure_route_reads_the_simulated_amplitudes():
@@ -476,7 +486,7 @@ def full_density(psi) -> np.ndarray:
 @pytest.mark.parametrize(
     "states",
     [pytest.param(partial(circuit_states, n), id=str(n)) for n in range(1, 6)]
-    + [pytest.param(partial(complex_states_with_zeros, 89), id="complex")],
+    + [pytest.param(partial(states_with_zeros, 89), id="zeros")],
 )
 def test_dense_measures_on_the_support_match_the_full_matrix(states):
     measures = ALL_KINDS_PANEL + (tsallis(1.5), l1p(1.5))
@@ -510,6 +520,6 @@ def test_basis_permutation_leaves_all_measures_fixed():
 
 
 def test_values_are_never_negative_zero():
-    value = pure_state_coherence(np.array([1.0, 0.0]), tsallis(2.0))
+    value = pure_state_coherence(flat_state(1, 0, [1.0, 0.0]), tsallis(2.0))
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0

@@ -26,13 +26,13 @@ from simon_coherence import (
     run_stages,
     validate_function,
 )
-from conftest import dot_mod2, second_register_distribution
+from conftest import dot_mod2, flat_state, second_register_distribution
 
 
 def interference_expected(f: SimonFunction) -> np.ndarray:
     """Final-stage amplitudes built directly from the coset-sum expression."""
     n, size = f.n, 1 << f.n
-    amps = np.zeros(size * size, dtype=complex)
+    amps = np.zeros(size * size)
     weight = 1.0 / 2 ** (n - 1)
     # the smaller member x of each input pair {x, x ^ s}
     for x in (x for x in range(size) if x < x ^ f.s):
@@ -200,20 +200,16 @@ def test_oracle_apply_three_qubit_example(f_three_qubit):
 
 def test_oracle_apply_twice_is_identity(f_three_qubit):
     rng = np.random.default_rng(31)
-    from simon_coherence import StateVector
-
-    raw = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    psi = StateVector(3, 3, raw / np.linalg.norm(raw))
+    raw = rng.standard_normal(64)
+    psi = flat_state(3, 3, raw / np.linalg.norm(raw))
     twice = oracle_apply(oracle_apply(psi, f_three_qubit), f_three_qubit)
     assert np.abs(twice.amps - psi.amps).max() < 1e-12
 
 
 def test_oracle_apply_preserves_magnitude_multiset(f_three_qubit):
     rng = np.random.default_rng(37)
-    from simon_coherence import StateVector
-
-    raw = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    psi = StateVector(3, 3, raw / np.linalg.norm(raw))
+    raw = rng.standard_normal(64)
+    psi = flat_state(3, 3, raw / np.linalg.norm(raw))
     moved = oracle_apply(psi, f_three_qubit)
     assert np.allclose(np.sort(np.abs(psi.amps)), np.sort(np.abs(moved.amps)))
 
@@ -271,23 +267,6 @@ def test_final_stage_matches_coset_sum_reconstruction():
             f = random_two_to_one(n, s, int(rng.integers(2**31)))
             final = run_stages(f)[Stage.FINAL_HADAMARD]
             assert np.abs(final.amps - interference_expected(f)).max() < 1e-12
-
-
-def test_circuit_states_are_real_and_complex_states_stay_complex():
-    for f in (random_two_to_one(3, 0b101, 4), random_bijection(3, 4)):
-        stages = run_stages(f)
-        _, collapsed = measure_second_register(stages[Stage.FINAL_HADAMARD], f, 0)
-        for psi in list(stages.values()) + [collapsed]:
-            assert psi.amps.dtype == np.float64
-    complex_state = StateVector(1, 1, np.array([0.5, 0.5j, -0.5, 0.5]))
-    assert complex_state.amps.dtype == np.complex128
-    assert hadamard_first_register(complex_state).amps.dtype == np.complex128
-    # a real state and its complex copy go through the Hadamard layer to the same bits
-    oracle = run_stages(random_two_to_one(3, 0b011, 5))[Stage.ORACLE]
-    real_final = hadamard_first_register(oracle).amps
-    complex_final = hadamard_first_register(StateVector(3, 3, oracle.amps.astype(complex))).amps
-    assert real_final.tobytes() == complex_final.real.tobytes()
-    assert not complex_final.imag.any()
 
 
 def test_final_stage_support_and_magnitude():
@@ -399,7 +378,6 @@ def reference_oracle(psi: StateVector, f: SimonFunction) -> np.ndarray:
 
 
 def bits(amps: np.ndarray) -> np.ndarray:
-    # complex128 views as two uint64 words per amplitude, so both parts are compared
     return amps.view(np.uint64)
 
 
@@ -416,8 +394,8 @@ def test_layers_match_the_full_grid_reference_bit_for_bit(n):
         states = list(stages.values()) + [collapsed, hadamard_first_register(collapsed)]
         # the stages themselves are the reference circuit's bits
         hadamard = reference_hadamard(stages[Stage.INITIAL])
-        oracle = reference_oracle(StateVector(n, n, hadamard), f)
-        final = reference_hadamard(StateVector(n, n, oracle))
+        oracle = reference_oracle(flat_state(n, n, hadamard), f)
+        final = reference_hadamard(flat_state(n, n, oracle))
         for stage, expected in zip((Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD),
                                    (hadamard, oracle, final)):
             assert np.array_equal(bits(stages[stage].amps), bits(expected)), stage
@@ -456,14 +434,11 @@ def test_random_states_match_the_full_grid_reference_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(11)
     n = 4
     f = random_two_to_one(n, 0b0110, 11)
-    real = rng.standard_normal((16, 16))
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    for grid in (real, raw):
-        grid[:, rng.permutation(16)[:10]] = 0.0
-        psi = StateVector(n, n, grid / np.linalg.norm(grid))
-        assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
-        assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
-    assert psi.amps.dtype == np.complex128
+    grid = rng.standard_normal((16, 16))
+    grid[:, rng.permutation(16)[:10]] = 0.0
+    psi = flat_state(n, n, grid / np.linalg.norm(grid))
+    assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
+    assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
 
     # blocks at the edge of the int8 path, large enough to be considered for it
     n, size = 7, 128
@@ -476,13 +451,12 @@ def test_random_states_match_the_full_grid_reference_bit_for_bit(monkeypatch):
     negative_zero = one_magnitude.copy()
     negative_zero[:, 3] = 0.0
     negative_zero[0, 3] = -0.0
-    complex_one_magnitude = one_magnitude * np.where(rng.random((size, size)) < 0.5, 1.0, 1j)
     cases = [(one_magnitude, True), (three_in_a_column, False), (two_magnitudes, False),
-             (negative_zero, False), (complex_one_magnitude, False)]
+             (negative_zero, False)]
     taken = record_sign_patterns(monkeypatch)
     for grid, signed in cases:
-        # from_block keeps the -0.0 column, which the amplitude constructor would drop
-        psi = StateVector.from_block(n, n, np.arange(size), grid / np.linalg.norm(grid))
+        # every column is kept, the -0.0 one too, which flat_state would drop
+        psi = StateVector(n, n, np.arange(size), grid / np.linalg.norm(grid))
         assert psi.block.size >= states._SIGNED_MIN_ENTRIES
         out = hadamard_first_register(psi).amps
         assert np.array_equal(bits(out), bits(reference_hadamard(psi)))
@@ -536,21 +510,15 @@ def assert_block_holds(psi: StateVector) -> None:
 
 
 def random_block_states(rng, n):
-    """Random real and complex states, and blocks that list an all-zero column."""
+    """A random state, and a block that lists an all-zero column."""
     size = 1 << n
-
-    def draw(shape, field):
-        values = rng.standard_normal(shape)
-        return values + 1j * rng.standard_normal(shape) if field == "complex" else values
-
-    for field in ("real", "complex"):
-        grid = draw((size, size), field)
-        grid[:, rng.permutation(size)[: size // 2]] = 0.0
-        yield StateVector(n, n, grid / np.linalg.norm(grid))
-        columns = np.sort(rng.choice(size, size=min(3, size), replace=False))
-        block = draw((size, columns.size), field)
-        block[:, columns.size // 2] = 0.0
-        yield StateVector.from_block(n, n, columns, block / np.linalg.norm(block))
+    grid = rng.standard_normal((size, size))
+    grid[:, rng.permutation(size)[: size // 2]] = 0.0
+    yield flat_state(n, n, grid / np.linalg.norm(grid))
+    columns = np.sort(rng.choice(size, size=min(3, size), replace=False))
+    block = rng.standard_normal((size, columns.size))
+    block[:, columns.size // 2] = 0.0
+    yield StateVector(n, n, columns, block / np.linalg.norm(block))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -676,7 +644,7 @@ def test_born_weights_match_the_full_grid_reference_bit_for_bit(monkeypatch):
         for empty in (0, 1, size // 2, size - 2, size - 1):
             grid = rng.standard_normal((size, size))
             grid[:, rng.permutation(size)[:empty]] = 0.0
-            psi = StateVector(n, n, grid / np.linalg.norm(grid))
+            psi = flat_state(n, n, grid / np.linalg.norm(grid))
             observed, _ = measure_second_register(psi, f, n)
             probs = (np.abs(psi.amps.reshape(size, size)) ** 2).sum(axis=0)
             assert np.allclose(second_register_distribution(psi), probs)
