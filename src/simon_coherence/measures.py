@@ -195,15 +195,18 @@ def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
 
     Every measure of a pure state depends only on the multiset of amplitude
     magnitudes, so each is a dot product of the counts c of the distinct
-    nonzero magnitudes m (probabilities p = m^2) with a function of them:
-    l1 = (c.m)^2 - c.p, skew_info = 1 - c.p^2, rel_entropy = -c.(p log2 p),
+    nonzero codes |k|, at magnitudes m = |k| * unit and exact probabilities
+    p = k^2 2^-e, with a function of them:
+    l1 = ((c.|k|)^2 - c.k^2) 2^-e, an integer sum and so exact,
+    skew_info = 1 - c.p^2, rel_entropy = -c.(p log2 p),
     tsallis = (c.p^(1/alpha) - 1) / (alpha - 1) and
     l1p = c.(m (S_p - m^p)^(1/p)) with S_p = c.m^p.  The state computes its
     histogram once and shares it across a panel.  Agrees with the dense path
     on |psi><psi| within TOL.cross_method.
     """
-    mags, counts = psi.magnitude_histogram
-    probs = mags**2
+    codes, counts = psi.magnitude_histogram
+    mags = codes * psi.unit
+    probs = np.ldexp(codes * codes, -psi.e)
     kind = measure.kind
     if kind == "tsallis":
         alpha = measure.param
@@ -223,8 +226,8 @@ def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
         return _clamp(_shannon_bits(probs, counts))
     if kind == "skew_info":
         return _clamp(1.0 - float(counts @ probs**2))
-    total = counts @ mags
-    return _clamp(float(total * total - counts @ probs))
+    total = counts @ codes
+    return _clamp(math.ldexp(total * total - counts @ (codes * codes), -psi.e))
 
 
 def route_values(

@@ -147,9 +147,9 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     """Reversible oracle |x>|z> -> |x>|z ^ f(x)>, a basis permutation.
 
-    Moves block entry (x, column z) to column z ^ f(x); the output columns are
-    the sorted distinct targets, and every other entry of the output block is
-    zero.  Amplitudes are moved, never combined.
+    Moves code (x, column z) to column z ^ f(x); the output columns are the
+    sorted distinct targets, and every other output code is zero.  Codes are
+    moved, never combined, so the exponent is kept.
     """
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(
@@ -162,9 +162,9 @@ def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     columns = np.flatnonzero(hit)
     slot = np.empty(1 << f.n, dtype=np.intp)
     slot[columns] = np.arange(columns.size)
-    block = np.zeros((psi.block.shape[0], columns.size))
-    block[np.arange(block.shape[0])[:, None], slot[targets]] = psi.block
-    return StateVector(psi.n_first, psi.n_second, columns, block)
+    k = np.zeros((psi.k.shape[0], columns.size), dtype=np.int8)
+    k[np.arange(k.shape[0])[:, None], slot[targets]] = psi.k
+    return StateVector(psi.n_first, psi.n_second, columns, k, psi.e)
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
@@ -189,7 +189,9 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
 
     Sampling is restricted to outcomes of strictly positive probability, so
     an impossible image can never be observed.  The returned state is the
-    renormalized projection onto the observed image.
+    renormalized projection onto the observed image: the column's codes with
+    e = log2(sum k^2), which the ``StateVector`` check requires to be an
+    integer.
     """
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(
@@ -200,10 +202,11 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
     support = np.flatnonzero(probs > 0.0)
     weights = probs[support] / probs[support].sum()
     rng = np.random.default_rng(seed)
-    k = int(support[rng.choice(support.size, p=weights)])
-    column = psi.block[:, k]
-    collapsed = (column / np.linalg.norm(column)).reshape(-1, 1)
-    return int(psi.columns[k]), StateVector(psi.n_first, psi.n_second, psi.columns[k:k + 1], collapsed)
+    j = int(support[rng.choice(support.size, p=weights)])
+    column = psi.k[:, j:j + 1].copy()
+    squares = int(np.add.reduce(column * column, axis=None, dtype=np.int64))
+    collapsed = StateVector(psi.n_first, psi.n_second, psi.columns[j:j + 1], column, squares.bit_length() - 1)
+    return int(psi.columns[j]), collapsed
 
 
 class FunctionTableError(ValueError):

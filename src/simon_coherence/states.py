@@ -28,78 +28,78 @@ __all__ = [
     "column_weights",
 ]
 
-# Below this many entries the float butterflies beat the int8 path's extra passes.
-_SIGNED_MIN_ENTRIES = 1 << 13
-# Entries squared at a time by first_register_distribution and column_weights.
-_SQUARED_CHUNK_ENTRIES = 1 << 15
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized real amplitudes over the joint register basis, held by column.
+    """Exact real amplitudes k * 2^(-e/2) over the joint register basis, held by column.
 
     ``columns`` is the sorted array of second-register values z whose column
-    may hold a nonzero amplitude, made read-only here, and ``block`` the
-    C-contiguous float64 ``(2^n_first, len(columns))`` array of those columns;
-    every amplitude outside ``columns`` is zero.  Both arrays are kept, not
-    copied.  A Simon circuit stage occupies one column or N/2 of them, so no
-    layer touches the full grid.  ``amps`` and ``magnitude_histogram`` are
-    computed on first use and kept with the state.
+    may hold a nonzero amplitude, made read-only here, and ``k`` the
+    C-contiguous int8 ``(2^n_first, len(columns))`` array of the codes of
+    those columns, each in {0, +-1, +-2}; every amplitude outside ``columns``
+    is zero.  Both arrays are kept, not copied.  The norm is checked exactly,
+    as the integer identity sum k^2 = 2^e, from ``magnitude_histogram``; it and
+    ``amps``, built on first use, are kept with the state.  A Simon circuit
+    stage occupies one column or N/2 of them, so no layer touches the full grid.
     """
 
     n_first: int
     n_second: int
     columns: np.ndarray
-    block: np.ndarray
+    k: np.ndarray
+    e: int
 
     def __post_init__(self) -> None:
         _require_registers(self.n_first, self.n_second)
-        block = self.block
-        if block.dtype != np.float64:
-            raise ValueError(f"block must hold float64 amplitudes, got {block.dtype}")
-        if block.shape != (1 << self.n_first, self.columns.size) or not block.flags.c_contiguous:
-            raise ValueError(f"block of shape {block.shape} does not hold {self.columns.size} columns "
+        k = self.k
+        if k.dtype != np.int8:
+            raise ValueError(f"k must hold int8 codes, got {k.dtype}")
+        if k.shape != (1 << self.n_first, self.columns.size) or not k.flags.c_contiguous:
+            raise ValueError(f"codes of shape {k.shape} do not hold {self.columns.size} columns "
                              f"of {1 << self.n_first} rows contiguously")
         self.columns.flags.writeable = False
-        norm = float(np.linalg.norm(block))
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= TOL.norm:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        codes, counts = self.magnitude_histogram
+        squares = int(counts @ codes**2)
+        if self.e < 0 or squares != 1 << self.e:
+            raise ValueError(f"state not normalized: sum k^2 = {squares}, 2^e = 2^{self.e}")
+
+    @property
+    def unit(self) -> float:
+        """The amplitude of code 1: 1/sqrt(2^e), exactly 2^(-e/2) for even e
+        and within one ulp of it for odd e."""
+        return 1.0 / math.sqrt(1 << self.e)
 
     @cached_property
     def amps(self) -> np.ndarray:
-        """The flat joint amplitude vector, zero outside ``columns``."""
+        """The flat joint float64 amplitude vector k * unit, zero outside ``columns``."""
         grid = np.zeros((1 << self.n_first, 1 << self.n_second))
-        grid[:, self.columns] = self.block
+        grid[:, self.columns] = np.multiply(self.k, self.unit, dtype=np.float64)
         return grid.reshape(-1)
 
     @cached_property
     def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        """``magnitude_histogram`` of the amplitudes, computed once per state."""
-        return magnitude_histogram(self.block)
+        """``magnitude_histogram`` of the codes, computed once per state."""
+        return magnitude_histogram(self.k)
 
 
-def magnitude_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct nonzero |amp| values ascending, float64 count of each).
+def magnitude_histogram(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct nonzero |k| ascending, float64 count of each) of int8 codes.
 
-    Zero amplitudes are left out.  Both arrays are read-only.
+    Zero codes are left out.  Both arrays are float64 and read-only.  Raises
+    ValueError for a code outside {0, +-1, +-2}.
     """
-    amps = np.asarray(amps).reshape(-1)
-    # most circuit stages are mostly zeros, so dropping them first leaves little
-    # to sort; the one filtered copy is then made absolute and sorted in place
-    values = amps[amps != 0.0]
-    np.abs(values, out=values)
-    values.sort()
-    # the run lengths of the sorted magnitudes, as np.unique counts them
-    bounds = np.empty(values.size + 1, dtype=bool)
-    bounds[0] = bounds[-1] = True
-    np.not_equal(values[1:], values[:-1], out=bounds[1:-1])
-    edges = np.flatnonzero(bounds)
-    counts = np.diff(edges).astype(np.float64)
-    values = values[edges[:-1]]
-    values.flags.writeable = False
+    low, high = (int(k.min()), int(k.max())) if k.size else (0, 0)
+    if low < -2 or high > 2:
+        raise ValueError("codes k must lie in {0, +-1, +-2}")
+    # every circuit stage holds only 0 and +-1, which the extremes show
+    twos = np.count_nonzero(np.abs(k) == 2) if low < -1 or high > 1 else 0
+    counts = np.array([np.count_nonzero(k) - twos, twos], dtype=np.float64)
+    present = counts > 0.0
+    codes = np.array([1.0, 2.0])[present]
+    counts = counts[present]
+    codes.flags.writeable = False
     counts.flags.writeable = False
-    return values, counts
+    return codes, counts
 
 
 def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
@@ -108,40 +108,38 @@ def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
     dim = 1 << (n_first + n_second)
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    block = np.zeros((1 << n_first, 1))
-    block[index >> n_second, 0] = 1.0
-    return StateVector(n_first, n_second, np.array([index & ((1 << n_second) - 1)]), block)
+    k = np.zeros((1 << n_first, 1), dtype=np.int8)
+    k[index >> n_second, 0] = 1
+    return StateVector(n_first, n_second, np.array([index & ((1 << n_second) - 1)]), k, 0)
 
 
 def hadamard_first_register(psi: StateVector) -> StateVector:
     """Hadamard on every first-register qubit, identity on the second.
 
-    Implemented as a normalized fast Walsh-Hadamard transform over the
-    first-register index bits with the second-register index held fixed.
-    Unitary, and an involution up to roundoff.  The transform mixes rows
-    within each column, so it keeps the columns and runs in-place butterflies
-    on a copy of the block.  Every amplitude sees the same additions and the
-    same final scaling as in a transform of the full grid.
+    A fast Walsh-Hadamard transform over the first-register index bits with
+    the second-register index held fixed.  H on n qubits is 2^(-n/2) times a
+    +-1 matrix, so the unnormalized butterflies run in place on a copy of the
+    int8 codes, the exponent grows by n_first, and a factor 2^t common to
+    every new code then moves back into the exponent.  The layer keeps the
+    columns; it is unitary, and an involution on the states it accepts.
 
-    A large block whose every entry is +0.0 or +-m, with at most two
-    nonzeros per column (each oracle stage of the circuit), runs the same
-    unnormalized butterflies on its int8 sign pattern k instead.  The result
-    has the same bits: every partial sum of a column is 0, +-m or +-2m, so
-    each float addition of the butterflies is exact and never makes -0.0,
-    and the float result fl(k*m * c) equals k * fl(m * c) for
-    c = fl(1/sqrt(N)) and k in {0, +-1, +-2}.
+    Every butterfly value of a column is a signed sum of that column's codes,
+    so a column whose sum of |k| exceeds 127 could wrap int8: such a state
+    raises ValueError before any arithmetic.  Codes the transform leaves
+    outside {0, +-1, +-2} fail the ``StateVector`` check.
     """
-    scale = 1.0 / math.sqrt(1 << psi.n_first)
-    signed = _sign_pattern(psi.block)
-    if signed is None:
-        a = psi.block.copy()
-        _butterflies(a)
-        a *= scale
-    else:
-        signs, m = signed
-        _butterflies(signs)
-        a = np.multiply(signs, m * scale, dtype=np.float64)
-    return StateVector(psi.n_first, psi.n_second, psi.columns, a)
+    # a column's sum of |k| is at most its sum of k^2, so at most 2^e; 127 is int8's largest value
+    if 1 << psi.e > 127:
+        mass = int(np.add.reduce(np.abs(psi.k), axis=0, dtype=np.int32).max())
+        if mass > 127:
+            raise ValueError(f"a column's sum of |k| is {mass}; int8 butterflies wrap past 127")
+    k = psi.k.copy()
+    _butterflies(k)
+    common = int(np.bitwise_or.reduce(k, axis=None))
+    shift = (common & -common).bit_length() - 1
+    if shift:
+        np.right_shift(k, shift, out=k)
+    return StateVector(psi.n_first, psi.n_second, psi.columns, k, psi.e + psi.n_first - 2 * shift)
 
 
 def _butterflies(a: np.ndarray) -> None:
@@ -160,47 +158,18 @@ def _butterflies(a: np.ndarray) -> None:
         h *= 2
 
 
-def _sign_pattern(block: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """(int8 k, m > 0) with ``block == k * m`` when the block has at least
-    ``_SIGNED_MIN_ENTRIES`` entries, each +0.0 or +-m, and no column holds more
-    than two nonzeros; None otherwise."""
-    if block.size < _SIGNED_MIN_ENTRIES:
-        return None
-    first = block[:, 0]
-    nonzero = first[first != 0.0]
-    if nonzero.size == 0:
-        return None
-    m = abs(float(nonzero[0]))
-    plus = np.equal(block, m)
-    minus = np.equal(block, -m)
-    # a column count never exceeds the row count, so this type cannot wrap
-    count = np.uint16 if block.shape[0] < 1 << 16 else np.uint32
-    per_column = np.add.reduce(plus.view(np.uint8), axis=0, dtype=count)
-    per_column += np.add.reduce(minus.view(np.uint8), axis=0, dtype=count)
-    if per_column.max() > 2:
-        return None
-    # +0.0 is the one entry whose bits are all zero, so another magnitude, a
-    # -0.0 or a NaN leaves the entries counted short of the block size
-    positive_zeros = np.count_nonzero(np.equal(block.view(np.uint64), 0))
-    if int(per_column.sum()) + positive_zeros != block.size:
-        return None
-    signs = plus.view(np.int8)
-    np.subtract(signs, minus.view(np.int8), out=signs)
-    return signs, m
-
-
 def density_of(psi: StateVector) -> np.ndarray:
     """Rank-one density matrix |psi><psi| on the support of psi.
 
-    The matrix is the real symmetric v v^T for the nonzero amplitudes v in
-    joint-index order: the principal submatrix of the full N^2 x N^2 outer
-    product on the indices where psi is nonzero, with the same bits.  Every
-    row and column left out is zero, and adds exactly 0 to every coherence
-    measure.
+    The matrix is the real symmetric v v^T for the nonzero amplitudes
+    v = k * unit in joint-index order: the principal submatrix of the full
+    N^2 x N^2 outer product of ``psi.amps`` on the indices where psi is
+    nonzero, with the same bits.  Every row and column left out is zero, and
+    adds exactly 0 to every coherence measure.
     """
-    # the block's C order over the sorted occupied columns is joint-index order
-    flat = psi.block.reshape(-1)
-    support = flat[flat != 0.0]
+    # the codes' C order over the sorted occupied columns is joint-index order
+    flat = psi.k.reshape(-1)
+    support = np.multiply(flat[flat != 0], psi.unit, dtype=np.float64)
     return np.outer(support, support)
 
 
@@ -252,40 +221,13 @@ def require_alpha(alpha: float) -> None:
 
 
 def first_register_distribution(psi: StateVector) -> np.ndarray:
-    """Born probabilities p[x] = sum_z |amp(x, z)|^2 over first-register values.
-
-    Each row is summed on its own, so squaring a few rows at a time gives the
-    bits of one sum over the whole block without its full-size temporary.
-    """
-    block = psi.block
-    probs = np.empty(block.shape[0])
-    step = max(1, _SQUARED_CHUNK_ENTRIES // block.shape[1])
-    for start in range(0, block.shape[0], step):
-        probs[start:start + step] = np.square(block[start:start + step]).sum(axis=1)
-    return probs
+    """Born probabilities p[x] = sum_z k(x, z)^2 2^-e over first-register values, exact."""
+    return np.ldexp(np.add.reduce(psi.k * psi.k, axis=1, dtype=np.int32), -psi.e)
 
 
 def column_weights(psi: StateVector) -> np.ndarray:
-    """Born weight sum_x |amp(x, z)|^2 of each occupied column z, in ``psi.columns`` order.
-
-    The rows are squared a chunk at a time into one buffer whose row 0
-    carries the running sums, so no full-size temporary is made.  numpy sums
-    the rows of a C-contiguous block of two or more columns one after
-    another, ((r0 + r1) + r2) + ..., so those weights have the bits of one
-    sum over the whole block; a single column, which numpy sums pairwise,
-    may differ from that sum in the last bits.
-    """
-    block = psi.block
-    rows, width = block.shape
-    step = max(1, _SQUARED_CHUNK_ENTRIES // width)
-    # the first chunk adds its rows to +0.0, which no nonnegative weight changes
-    buffer = np.zeros((min(step, rows) + 1, width))
-    for start in range(0, rows, step):
-        chunk = block[start:start + step]
-        filled = buffer[:chunk.shape[0] + 1]
-        np.square(chunk, out=filled[1:])
-        buffer[0] = filled.sum(axis=0)
-    return buffer[0].copy()
+    """Born weight sum_x k(x, z)^2 2^-e of each occupied column z, in ``psi.columns`` order, exact."""
+    return np.ldexp(np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int32), -psi.e)
 
 
 def _require_registers(n_first: int, n_second: int) -> None:

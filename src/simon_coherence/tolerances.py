@@ -9,7 +9,6 @@ from dataclasses import dataclass
 class Tolerances:
     """Every cutoff used by the simulator, measures, and verification paths."""
 
-    norm: float = 1e-12                 # |norm(psi) - 1| at construction
     hermiticity: float = 1e-12          # max entry of |rho - rho^dagger|
     eigenvalue_floor: float = 1e-12     # lambda at or below this treated as 0
     diag_power_floor: float = 1e-15     # <j|rho^a|j> at or below this contributes 0

@@ -36,12 +36,41 @@ def second_register_distribution(psi: StateVector) -> np.ndarray:
     return np.bincount(psi.columns, column_weights(psi), 1 << psi.n_second)
 
 
-def flat_state(n_first: int, n_second: int, amps) -> StateVector:
-    """The state of the flat joint amplitude vector ``amps``, holding only the
-    second-register columns with a nonzero amplitude."""
-    grid = np.asarray(amps).reshape(1 << n_first, 1 << n_second)
+def flat_state(n_first: int, n_second: int, k, e: int) -> StateVector:
+    """The state of the flat joint code vector ``k`` with exponent ``e``,
+    holding only the second-register columns with a nonzero code."""
+    grid = np.asarray(k, dtype=np.int8).reshape(1 << n_first, 1 << n_second)
     columns = np.flatnonzero(grid.any(axis=0))
-    return StateVector(n_first, n_second, columns, grid.take(columns, axis=1))
+    return StateVector(n_first, n_second, columns, grid.take(columns, axis=1), e)
+
+
+def random_codes(rng: np.random.Generator, n_first: int, n_second: int, filled: int | None = None):
+    """(joint code grid, e): a random sign pattern whose squares sum to 2^e.
+
+    At most ``filled`` columns (all by default), drawn at random, are used,
+    each holding one code +-1, one code +-2 or two codes +-1, so the Hadamard
+    layer maps the pattern to codes in {0, +-1, +-2} again and every column's
+    sum of k^2 is a power of two.
+    """
+    rows, cols = 1 << n_first, 1 << n_second
+    filled = cols if filled is None else filled
+    grid = np.zeros((rows, cols), dtype=np.int8)
+    e = int(rng.integers(0, filled.bit_length()))
+    left = 1 << e
+    for z in rng.permutation(cols)[:filled]:
+        weight = int(rng.choice([w for w in (1, 2, 4) if w <= left and (w != 2 or rows > 1)]))
+        slots = rng.choice(rows, 2 if weight == 2 else 1, replace=False)
+        grid[slots, z] = rng.choice([-1, 1], slots.size) * (2 if weight == 4 else 1)
+        left -= weight
+        if not left:
+            return grid, e
+    raise AssertionError("unreachable: 2^e <= filled columns of weight >= 1")
+
+
+def random_exact_state(rng: np.random.Generator, n_first: int, n_second: int) -> StateVector:
+    """``flat_state`` of ``random_codes``."""
+    grid, e = random_codes(rng, n_first, n_second)
+    return flat_state(n_first, n_second, grid, e)
 
 
 def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -80,11 +109,7 @@ def circuit_states(n: int):
 
 
 def states_with_zeros(seed: int):
-    """Random states on 2 to 5 qubits with some amplitudes exactly zero."""
+    """Random exact states on 2 to 5 qubits, most of their amplitudes exactly zero."""
     rng = np.random.default_rng(seed)
     for n_first, n_second in ((1, 1), (2, 1), (2, 3), (3, 2)):
-        dim = 1 << (n_first + n_second)
-        raw = rng.standard_normal(dim)
-        raw[rng.random(dim) < 0.4] = 0.0
-        raw[0], raw[-1] = 1.0, 0.0
-        yield flat_state(n_first, n_second, raw / np.linalg.norm(raw))
+        yield random_exact_state(rng, n_first, n_second)

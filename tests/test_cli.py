@@ -160,6 +160,16 @@ def test_run_beyond_dense_limit_drops_dense_route(capsys):
     assert methods == {"pure_fast", "closed_form"}
 
 
+def test_run_final_stage_l1p_spread_is_exactly_zero_at_n_11(capsys):
+    # the final stage's exponent e is even, so its amplitudes are powers of two
+    # and the pure route's sums are exact; float amplitudes left a 4.66e-10 spread
+    code, doc = run_json(capsys, ["run", "--n", "11", "--seed", "1"])
+    assert code == EXIT_OK
+    (row,) = [entry for entry in doc["discrepancies"] if entry["stage"] == "final_hadamard"
+              and entry["measure"] == "l1p" and entry["params"] == {"p": 1.0}]
+    assert row["max_difference"] == 0.0
+
+
 def test_run_capability_limits(capsys):
     code, _, err = run_cli(capsys, ["run", "--n", "6", "--seed", "0", "--dense", "on"])
     assert code == EXIT_CAPABILITY and "n <= 5" in err

@@ -11,7 +11,7 @@ from scipy.linalg import fractional_matrix_power
 from conftest import (
     circuit_states,
     flat_state,
-    random_amplitudes,
+    random_exact_state,
     random_mixed_density,
     real_mixed_density,
     states_with_zeros,
@@ -61,11 +61,12 @@ FROZEN_TSALLIS_TWO = 0.11803398874989468
 ALL_KINDS_PANEL = DEFAULT_PANEL + (L1,)
 
 
-def padded_state(amps) -> StateVector:
-    """A one-register state of ``amps`` zero-padded to a power-of-two length;
-    the zeros leave the magnitude histogram unchanged."""
-    n = max(1, (len(amps) - 1).bit_length())
-    return flat_state(n, 0, np.pad(amps, (0, (1 << n) - len(amps))))
+def padded_state(k) -> StateVector:
+    """A one-register state of the codes ``k`` zero-padded to a power-of-two
+    length, with sum k^2 = 2^e; the zeros leave the magnitude histogram unchanged."""
+    n = max(1, (len(k) - 1).bit_length())
+    squares = int(np.square(k).sum())
+    return flat_state(n, 0, np.pad(k, (0, (1 << n) - len(k))), squares.bit_length() - 1)
 
 
 def positive_density(rng, dim):
@@ -180,7 +181,7 @@ def test_basis_state_has_zero_coherence():
     rho[2, 2] = 1.0
     for measure in ALL_KINDS_PANEL:
         assert dense_coherence(rho, measure) == 0.0
-        assert pure_state_coherence(flat_state(2, 0, np.eye(4)[2]), measure) == 0.0
+        assert pure_state_coherence(flat_state(2, 0, [0, 0, 1, 0], 0), measure) == 0.0
 
 
 def test_diagonal_mixed_states_have_zero_coherence():
@@ -274,15 +275,15 @@ def test_l1p_at_p_one_equals_l1():
 def test_pure_state_fast_path_matches_dense():
     rng = np.random.default_rng(47)
     measures = ALL_KINDS_PANEL + (tsallis(0.3), tsallis(1.1), l1p(1.5))
-    for dim in (2, 3, 4, 8, 16):
-        psi = random_amplitudes(rng, dim)
-        rho = np.outer(psi, psi.conj())
-        # the pure route reads only magnitudes, which the real state |psi| shares with psi
-        state = padded_state(np.abs(psi))
-        for measure in measures:
-            dense = dense_coherence(rho, measure)
-            fast = pure_state_coherence(state, measure)
-            assert abs(dense - fast) < 1e-9, measure.label()
+    for n_first, n_second in ((1, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (4, 4)):
+        for _ in range(4):
+            state = random_exact_state(rng, n_first, n_second)
+            # the full outer product, zero rows and columns included
+            rho = np.outer(state.amps, state.amps)
+            for measure in measures:
+                dense = dense_coherence(rho, measure)
+                fast = pure_state_coherence(state, measure)
+                assert abs(dense - fast) < 1e-9, measure.label()
 
 
 def test_real_and_complex_dense_arithmetic_agree_on_the_final_stage():
@@ -310,24 +311,12 @@ def test_real_and_complex_dense_arithmetic_agree_on_a_known_spectrum():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(-1, 1, allow_nan=False, width=32),
-            st.floats(-1, 1, allow_nan=False, width=32),
-        ),
-        min_size=2,
-        max_size=8,
-    )
-)
-def test_hypothesis_pure_l1_routes_agree(pairs):
-    raw = np.array([complex(a, b) for a, b in pairs])
-    norm = np.linalg.norm(raw)
-    if norm < 1e-3:
-        return
-    amps = raw / norm
-    rho = np.outer(amps, amps.conj())
-    state = padded_state(np.abs(amps))
+@given(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=8))
+def test_hypothesis_pure_l1_routes_agree(codes):
+    # codes +1 fill sum k^2 up to the next power of two
+    squares = sum(code * code for code in codes)
+    state = padded_state(codes + [1] * ((1 << (squares - 1).bit_length()) - squares))
+    rho = np.outer(state.amps, state.amps)
     fast = pure_state_coherence(state, L1)
     assert abs(fast - l1_coherence(rho)) < 1e-9
     assert abs(fast - pure_state_coherence(state, l1p(1.0))) < 1e-9
@@ -346,40 +335,46 @@ def ulps_from(value: float, exact: Fraction) -> float:
 @pytest.mark.parametrize("n", range(1, 8))
 def test_pure_l1_and_skew_info_are_within_ulps_of_exact_values(n):
     for psi in circuit_states(n):
-        mags = [Fraction(float(m)) for m in np.abs(psi.amps) if m != 0.0]
-        total = sum(mags)
-        probs = [m * m for m in mags]
-        exact_l1 = total * total - sum(probs)
-        exact_skew = 1 - sum(p * p for p in probs)
-        assert ulps_from(pure_state_coherence(psi, L1), exact_l1) <= 1.0
-        assert ulps_from(pure_state_coherence(psi, SKEW_INFO), exact_skew) <= 4.0
+        # the amplitudes k 2^(-e/2) give rational l1 = ((sum |k|)^2 - sum k^2) / 2^e
+        # and skew_info = 1 - sum k^4 / 2^(2e)
+        codes = [int(k) for k in psi.k.reshape(-1) if k != 0]
+        exact_l1 = Fraction(sum(map(abs, codes)) ** 2 - sum(k * k for k in codes), 1 << psi.e)
+        exact_skew = 1 - Fraction(sum(k**4 for k in codes), 1 << 2 * psi.e)
+        assert ulps_from(pure_state_coherence(psi, L1), exact_l1) <= 0.5
+        assert ulps_from(pure_state_coherence(psi, SKEW_INFO), exact_skew) <= 0.5
 
 
 def test_magnitude_histogram_is_computed_once_per_state(monkeypatch):
     calls = []
     original = states.magnitude_histogram
 
-    def counting(amps):
-        calls.append(amps.size)
-        return original(amps)
+    def counting(k):
+        calls.append(k.size)
+        return original(k)
 
     monkeypatch.setattr(states, "magnitude_histogram", counting)
     psi = run_stages(random_two_to_one(4, 0b1010, 6))[Stage.FINAL_HADAMARD]
+    # one call per stage, made by the norm check, on the codes of the occupied
+    # columns: the final stage's 16 x 8 block rather than all 256 amplitudes
+    assert calls == [16, 16, 128, 128]
     values = [pure_state_coherence(psi, measure) for measure in ALL_KINDS_PANEL]
-    # one call, on the 16 x 8 block of occupied columns rather than all 256 amplitudes
-    assert calls == [128]
+    assert calls == [16, 16, 128, 128]
     assert psi.magnitude_histogram is psi.magnitude_histogram
-    mags, counts = psi.magnitude_histogram
-    assert mags.tolist() == [0.125] and counts.tolist() == [64.0]
-    # the state of the full flat vector has the same histogram, so the same values
-    assert values == [pure_state_coherence(flat_state(4, 4, psi.amps), measure) for measure in ALL_KINDS_PANEL]
+    codes, counts = psi.magnitude_histogram
+    assert codes.tolist() == [1.0] and counts.tolist() == [64.0] and psi.unit == 0.125
+    # the state of the full flat code vector has the same histogram, so the same values
+    grid = np.zeros((16, 16), dtype=np.int8)
+    grid[:, psi.columns] = psi.k
+    full = flat_state(4, 4, grid, psi.e)
+    assert values == [pure_state_coherence(full, measure) for measure in ALL_KINDS_PANEL]
 
 
 def test_pure_route_reads_the_simulated_amplitudes():
     n = 4
     good = random_two_to_one(n, 0b1011, 9)
     table = good.table.copy()
-    table[3] ^= 1
+    # f(3) leaves the image set, so 3 and 3 ^ s no longer share a column
+    table[3] = np.setdiff1d(np.arange(1 << n), table)[0]
     broken = SimonFunction(n, table, good.s)
     with pytest.raises(ValueError):
         run_stages(broken)
@@ -520,6 +515,6 @@ def test_basis_permutation_leaves_all_measures_fixed():
 
 
 def test_values_are_never_negative_zero():
-    value = pure_state_coherence(flat_state(1, 0, [1.0, 0.0]), tsallis(2.0))
+    value = pure_state_coherence(flat_state(1, 0, [1, 0], 0), tsallis(2.0))
     assert value == 0.0
     assert math.copysign(1.0, value) == 1.0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from simon_coherence import (
     run_stages,
     validate_function,
 )
-from conftest import dot_mod2, flat_state, second_register_distribution
+from conftest import dot_mod2, flat_state, random_codes, random_exact_state, second_register_distribution
 
 
 def interference_expected(f: SimonFunction) -> np.ndarray:
@@ -200,18 +201,19 @@ def test_oracle_apply_three_qubit_example(f_three_qubit):
 
 def test_oracle_apply_twice_is_identity(f_three_qubit):
     rng = np.random.default_rng(31)
-    raw = rng.standard_normal(64)
-    psi = flat_state(3, 3, raw / np.linalg.norm(raw))
-    twice = oracle_apply(oracle_apply(psi, f_three_qubit), f_three_qubit)
-    assert np.abs(twice.amps - psi.amps).max() < 1e-12
+    for _ in range(10):
+        psi = random_exact_state(rng, 3, 3)
+        twice = oracle_apply(oracle_apply(psi, f_three_qubit), f_three_qubit)
+        assert np.array_equal(twice.amps, psi.amps)
 
 
 def test_oracle_apply_preserves_magnitude_multiset(f_three_qubit):
     rng = np.random.default_rng(37)
-    raw = rng.standard_normal(64)
-    psi = flat_state(3, 3, raw / np.linalg.norm(raw))
-    moved = oracle_apply(psi, f_three_qubit)
-    assert np.allclose(np.sort(np.abs(psi.amps)), np.sort(np.abs(moved.amps)))
+    for _ in range(10):
+        psi = random_exact_state(rng, 3, 3)
+        moved = oracle_apply(psi, f_three_qubit)
+        assert moved.e == psi.e
+        assert np.array_equal(np.sort(np.abs(psi.amps)), np.sort(np.abs(moved.amps)))
 
 
 def test_oracle_apply_rejects_register_mismatch(f_two_qubit):
@@ -350,10 +352,12 @@ def test_measurement_on_bijection_collapses_to_single_input():
 # ---------------------------------------------------- state-vector layer bits
 
 
-def reference_hadamard(psi: StateVector) -> np.ndarray:
-    """The full-grid butterfly: every column transformed, two temporaries per pass."""
-    rows, cols = 1 << psi.n_first, 1 << psi.n_second
-    a = psi.amps.reshape(rows, cols).copy()
+def reference_hadamard(amps: np.ndarray, n_first: int) -> np.ndarray:
+    """The full-grid float butterfly over the flat joint vector ``amps``: every
+    column transformed, two temporaries per pass, then scaled by 1/sqrt(2^n_first)."""
+    rows = 1 << n_first
+    cols = amps.size // rows
+    a = amps.reshape(rows, cols).copy()
     h = 1
     while h < rows:
         a = a.reshape(rows // (2 * h), 2, h * cols)
@@ -367,18 +371,28 @@ def reference_hadamard(psi: StateVector) -> np.ndarray:
     return a.reshape(-1)
 
 
-def reference_oracle(psi: StateVector, f: SimonFunction) -> np.ndarray:
+def reference_oracle(amps: np.ndarray, f: SimonFunction) -> np.ndarray:
     """The index scatter out[(x, z ^ f(x))] = in[(x, z)] over the full joint index."""
-    idx = np.arange(psi.amps.size)
+    idx = np.arange(amps.size)
     x = idx >> f.n
     z = idx & ((1 << f.n) - 1)
-    out = np.empty_like(psi.amps)
-    out[(x << f.n) | (z ^ f.table[x])] = psi.amps
+    out = np.empty_like(amps)
+    out[(x << f.n) | (z ^ f.table[x])] = amps
     return out
 
 
 def bits(amps: np.ndarray) -> np.ndarray:
     return amps.view(np.uint64)
+
+
+def assert_matches_reference(got: np.ndarray, expected: np.ndarray, input_e: int) -> None:
+    """Bit for bit when the reference's input amplitudes k 2^(-e/2) are exact
+    (even e).  At odd e its input carries unit = 1/sqrt(2^e), within one ulp of
+    2^(-e/2), and its final scaling another: 2 eps relative covers both."""
+    if input_e % 2 == 0:
+        assert np.array_equal(bits(got), bits(expected))
+    else:
+        assert np.all(np.abs(got - expected) <= 2 * np.finfo(float).eps * np.abs(got))
 
 
 def occupied_columns(psi: StateVector) -> int:
@@ -392,90 +406,56 @@ def test_layers_match_the_full_grid_reference_bit_for_bit(n):
         stages = run_stages(f)
         _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
         states = list(stages.values()) + [collapsed, hadamard_first_register(collapsed)]
-        # the stages themselves are the reference circuit's bits
-        hadamard = reference_hadamard(stages[Stage.INITIAL])
-        oracle = reference_oracle(flat_state(n, n, hadamard), f)
-        final = reference_hadamard(flat_state(n, n, oracle))
-        for stage, expected in zip((Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD),
-                                   (hadamard, oracle, final)):
-            assert np.array_equal(bits(stages[stage].amps), bits(expected)), stage
+        # the float reference circuit, run on its own output
+        hadamard = reference_hadamard(stages[Stage.INITIAL].amps, n)
+        oracle = reference_oracle(hadamard, f)
+        final = reference_hadamard(oracle, n)
+        assert np.array_equal(bits(stages[Stage.HADAMARD].amps), bits(hadamard))
+        assert np.array_equal(bits(stages[Stage.ORACLE].amps), bits(oracle))
+        assert_matches_reference(stages[Stage.FINAL_HADAMARD].amps, final, n)
         for psi in states:
             columns_seen.add(occupied_columns(psi) / (1 << n))
-            assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
-            assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
+            assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi.amps, f)))
+            if np.abs(psi.k).sum(axis=0).max() > 127:
+                # from n = 7 on, a column of the Hadamard or final stage could wrap int8
+                with pytest.raises(ValueError, match="wrap past 127"):
+                    hadamard_first_register(psi)
+                continue
+            assert_matches_reference(hadamard_first_register(psi).amps, reference_hadamard(psi.amps, n), psi.e)
     # one column, half of them (two-to-one oracle stage) and all of them are covered
     assert {1 / (1 << n), 0.5, 1.0} <= columns_seen
 
 
-def record_sign_patterns(monkeypatch) -> list[bool]:
-    """Whether each later Hadamard layer ran its butterflies on an int8 sign pattern."""
-    taken = []
-    original = states._sign_pattern
-
-    def recording(block):
-        signed = original(block)
-        taken.append(signed is not None)
-        return signed
-
-    monkeypatch.setattr(states, "_sign_pattern", recording)
-    return taken
-
-
-def signed_grid(rng: np.random.Generator, size: int) -> np.ndarray:
-    """+-1 at two distinct random rows of every column."""
-    grid = np.zeros((size, size))
-    for z in range(size):
-        grid[rng.choice(size, 2, replace=False), z] = rng.choice([-1.0, 1.0], 2)
-    return grid
-
-
-def test_random_states_match_the_full_grid_reference_bit_for_bit(monkeypatch):
-    # random amplitudes make every butterfly round, unlike the circuit's r * small integers
+def test_random_states_match_the_full_grid_reference_bit_for_bit():
+    # random sign patterns with codes +-1 and +-2, on few or many columns,
+    # unlike the circuit's one code per stage
     rng = np.random.default_rng(11)
-    n = 4
-    f = random_two_to_one(n, 0b0110, 11)
-    grid = rng.standard_normal((16, 16))
-    grid[:, rng.permutation(16)[:10]] = 0.0
-    psi = flat_state(n, n, grid / np.linalg.norm(grid))
-    assert np.array_equal(bits(hadamard_first_register(psi).amps), bits(reference_hadamard(psi)))
-    assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi, f)))
-
-    # blocks at the edge of the int8 path, large enough to be considered for it
-    n, size = 7, 128
-    one_magnitude = signed_grid(rng, size)
-    three_in_a_column = one_magnitude.copy()
-    three_in_a_column[np.flatnonzero(three_in_a_column[:, 5] == 0.0)[0], 5] = 1.0
-    two_magnitudes = one_magnitude.copy()
-    two_magnitudes[np.flatnonzero(two_magnitudes[:, 9])[0], 9] *= 2.0
-    # a column holding only -0.0 keeps a -0.0 in the float result (row 127)
-    negative_zero = one_magnitude.copy()
-    negative_zero[:, 3] = 0.0
-    negative_zero[0, 3] = -0.0
-    cases = [(one_magnitude, True), (three_in_a_column, False), (two_magnitudes, False),
-             (negative_zero, False)]
-    taken = record_sign_patterns(monkeypatch)
-    for grid, signed in cases:
-        # every column is kept, the -0.0 one too, which flat_state would drop
-        psi = StateVector(n, n, np.arange(size), grid / np.linalg.norm(grid))
-        assert psi.block.size >= states._SIGNED_MIN_ENTRIES
-        out = hadamard_first_register(psi).amps
-        assert np.array_equal(bits(out), bits(reference_hadamard(psi)))
-        assert taken.pop() is signed
-        if grid is negative_zero:
-            assert np.signbit(out[(size - 1) * size + 3])
+    for n in (1, 2, 3, 4, 7):
+        f = random_two_to_one(n, (1 << n) - 1, 11)
+        for filled in (1, 2, 3, 1 << n):
+            grid, e = random_codes(rng, n, n, filled)
+            psi = StateVector(n, n, np.arange(1 << n), grid, e)  # empty columns kept
+            assert_matches_reference(hadamard_first_register(psi).amps, reference_hadamard(psi.amps, n), e)
+            assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi.amps, f)))
 
 
-def test_the_circuit_hadamard_layers_run_on_sign_patterns(monkeypatch):
-    # the layer on |0...0> is one column and stays on the float butterflies;
-    # the layer on the oracle stage runs on its sign pattern once it is large
-    taken = record_sign_patterns(monkeypatch)
-    for n in (7, 10):
-        for f in (random_two_to_one(n, 1, n), random_bijection(n, n)):
-            run_stages(f)
-            assert taken == [False, True]
-            taken.clear()
-    run_stages(random_two_to_one(6, 1, 6))
-    assert taken == [False, False]
+def test_the_circuit_hadamard_layers_run_on_int8_codes(monkeypatch):
+    # every layer runs its butterflies on the int8 codes and adds n to e;
+    # a two-to-one f's final codes +-2 then move a factor 4 back into e
+    dtypes = []
+    original = states._butterflies
+
+    def recording(a):
+        dtypes.append(a.dtype)
+        original(a)
+
+    monkeypatch.setattr(states, "_butterflies", recording)
+    for n in (1, 6, 7, 10):
+        for f, final_e in ((random_two_to_one(n, 1, n), 2 * n - 2), (random_bijection(n, n), 2 * n)):
+            exponents = [psi.e for psi in run_stages(f).values()]
+            assert exponents == [0, n, n, final_e]
+            assert dtypes == [np.int8, np.int8]
+            dtypes.clear()
 
 
 # ------------------------------------------------- column blocks vs matrices
@@ -501,24 +481,23 @@ def oracle_matrix(f: SimonFunction) -> np.ndarray:
 
 
 def assert_block_holds(psi: StateVector) -> None:
-    """columns sorted and distinct, block their contiguous copy, zeros elsewhere."""
+    """columns sorted and distinct, k their contiguous int8 codes, zeros elsewhere."""
     grid = psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)
     assert np.all(np.diff(psi.columns) > 0)
-    assert psi.block.flags.c_contiguous
-    assert np.array_equal(grid[:, psi.columns], psi.block)
+    assert psi.k.dtype == np.int8 and psi.k.flags.c_contiguous
+    assert np.array_equal(grid[:, psi.columns], psi.k.astype(np.float64) * psi.unit)
     assert not np.delete(grid, psi.columns, axis=1).any()
 
 
 def random_block_states(rng, n):
-    """A random state, and a block that lists an all-zero column."""
+    """A random sign pattern on at most half the columns, and the same state
+    with a block that also lists an all-zero column."""
     size = 1 << n
-    grid = rng.standard_normal((size, size))
-    grid[:, rng.permutation(size)[: size // 2]] = 0.0
-    yield flat_state(n, n, grid / np.linalg.norm(grid))
-    columns = np.sort(rng.choice(size, size=min(3, size), replace=False))
-    block = rng.standard_normal((size, columns.size))
-    block[:, columns.size // 2] = 0.0
-    yield StateVector(n, n, columns, block / np.linalg.norm(block))
+    grid, e = random_codes(rng, n, n, max(1, size // 2))
+    yield flat_state(n, n, grid, e)
+    used = np.flatnonzero(grid.any(axis=0))
+    columns = np.union1d(used, np.setdiff1d(np.arange(size), used)[:1])
+    yield StateVector(n, n, columns, grid.take(columns, axis=1), e)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -532,7 +511,6 @@ def test_block_layers_match_the_explicit_matrices(n):
             for got, expected in ((hadamard_first_register(psi), hadamard @ psi.amps),
                                   (oracle_apply(psi, f), oracle @ psi.amps)):
                 assert_block_holds(got)
-                assert got.block.dtype == psi.block.dtype
                 assert np.allclose(got.amps, expected)
             # an all-zero column keeps its place through the Hadamard layer
             assert np.array_equal(hadamard_first_register(psi).columns, psi.columns)
@@ -579,7 +557,7 @@ def test_circuit_layers_never_build_the_full_vector():
         second_register_distribution(psi)
     assert not [psi for psi in states if "amps" in vars(psi)]
     # the N x N/2 oracle-stage block is the largest array any stage holds
-    assert max(psi.block.size for psi in states) == (1 << 2 * n) // 2
+    assert max(psi.k.size for psi in states) == (1 << 2 * n) // 2
 
 
 # -------------------------------------------------------------- function table
@@ -642,12 +620,13 @@ def test_born_weights_match_the_full_grid_reference_bit_for_bit(monkeypatch):
     for f in functions:
         n, size = f.n, 1 << f.n
         for empty in (0, 1, size // 2, size - 2, size - 1):
-            grid = rng.standard_normal((size, size))
-            grid[:, rng.permutation(size)[:empty]] = 0.0
-            psi = flat_state(n, n, grid / np.linalg.norm(grid))
+            grid, e = random_codes(rng, n, n, size - empty)
+            psi = flat_state(n, n, grid, e)
             observed, _ = measure_second_register(psi, f, n)
-            probs = (np.abs(psi.amps.reshape(size, size)) ** 2).sum(axis=0)
-            assert np.allclose(second_register_distribution(psi), probs)
+            # sum k^2 per column as Python integers, over 2^e, rounded once
+            squares = (grid.astype(np.int64) ** 2).sum(axis=0)
+            probs = np.array([float(Fraction(int(total), 1 << e)) for total in squares])
+            assert np.array_equal(second_register_distribution(psi), probs)
             support = np.flatnonzero(probs > 0.0)
             expected = probs[support] / probs[support].sum()
             assert np.array_equal(bits(drawn_with.pop()), bits(expected))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from simon_coherence.states import column_weights, magnitude_histogram
 from conftest import (
     circuit_states,
     flat_state,
+    random_codes,
+    random_exact_state,
     random_mixed_density,
     random_pure_density,
     real_mixed_density,
@@ -32,41 +35,43 @@ from conftest import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def normalized_state(n_first, n_second, raw):
-    amps = np.asarray(raw, dtype=float)
-    return flat_state(n_first, n_second, amps / np.linalg.norm(amps))
-
-
 # ---------------------------------------------------------------- construction
 
 
 def test_state_vector_rejects_wrong_length():
     with pytest.raises(ValueError):
-        StateVector(1, 1, np.arange(2), np.array([[1.0], [0.0]]))
+        StateVector(1, 1, np.arange(2), np.array([[1], [0]], dtype=np.int8), 0)
 
 
 def test_state_vector_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        flat_state(1, 0, np.array([1.0, 1.0]))
-    # a NaN norm compares false against any bound, so it must fail the check, not pass it
-    for bad in (math.nan, math.inf, -math.inf):
-        for amps in ([bad, 0.0, 0.0, 0.0], [1.0, 0.0, bad, 0.0]):
-            with pytest.raises(ValueError):
-                flat_state(2, 0, np.array(amps))
+    # the norm is the integer identity sum k^2 = 2^e, with no tolerance
+    for k, e in (([1, 1], 0), ([1, 1], 2), ([1, 1, 1, 0], 1), ([1, 1, 1, 0], 2), ([2, 0], 1),
+                 ([1, 2, 0, 0], 2), ([1, 0], -1), ([0, 0], 0)):
+        with pytest.raises(ValueError, match="normalized"):
+            flat_state(2, 0, np.pad(k, (0, 4 - len(k))), e)
+    assert flat_state(2, 0, [1, 1, 1, 1], 2).amps.tolist() == [0.5] * 4
+
+
+def test_state_vector_rejects_codes_outside_the_code_set():
+    # 4, -4 and 3 + 2 + 1 + 1 + 1 have sum k^2 = 2^4, so only the code check can fail them
+    for k, e in (([4, 0, 0, 0], 4), ([-4, 0, 0, 0], 4), ([3, 2, 1, 1, 1], 4),
+                 ([127, 0, 0, 0], 0), ([-128, 0, 0, 0], 0)):
+        with pytest.raises(ValueError, match="codes"):
+            flat_state(3, 0, np.pad(k, (0, 8 - len(k))), e)
 
 
 def test_state_vector_rejects_empty_registers():
     with pytest.raises(ValueError):
-        StateVector(0, 0, np.zeros(1, dtype=np.intp), np.ones((1, 1)))
+        StateVector(0, 0, np.zeros(1, dtype=np.intp), np.ones((1, 1), dtype=np.int8), 0)
 
 
-def test_state_vector_holds_only_contiguous_float64_blocks():
-    block = np.full((2, 2), 0.5)
-    assert StateVector(1, 1, np.arange(2), block).block is block
-    for bad, named in ((block.astype(np.complex128), "complex128"), (block.astype(np.float32), "float32"),
-                       (block.T, "contiguously")):
+def test_state_vector_holds_only_contiguous_int8_blocks():
+    k = np.array([[1, 0], [1, 0]], dtype=np.int8)
+    assert StateVector(1, 1, np.arange(2), k, 1).k is k
+    for bad, named in ((k.astype(np.float64), "float64"), (k.astype(np.int16), "int16"),
+                       (k.astype(np.uint8), "uint8"), (k.T, "contiguously")):
         with pytest.raises(ValueError, match=named):
-            StateVector(1, 1, np.arange(2), bad)
+            StateVector(1, 1, np.arange(2), bad, 1)
 
 
 def test_basis_state_is_one_hot():
@@ -99,13 +104,34 @@ def test_hadamard_leaves_second_register_alone():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2**31 - 1))
 def test_hadamard_preserves_norm_and_is_involution(n1, n2, seed):
-    rng = np.random.default_rng(seed)
-    dim = 1 << (n1 + n2)
-    psi = normalized_state(n1, n2, rng.standard_normal(dim))
+    psi = random_exact_state(np.random.default_rng(seed), n1, n2)
     once = hadamard_first_register(psi)
     assert abs(np.linalg.norm(once.amps) - 1.0) < 1e-12
     twice = hadamard_first_register(once)
-    assert np.abs(twice.amps - psi.amps).max() < 1e-12
+    # integer butterflies: the amplitudes come back bit for bit
+    assert np.array_equal(twice.amps, psi.amps)
+
+
+def test_hadamard_rejects_a_column_whose_butterflies_could_wrap_int8():
+    # one column of 128 codes +-1 (sum of |k| 128), or of 64 codes +-2 (also 128)
+    rng = np.random.default_rng(5)
+    for code, e in ((1, 7), (2, 8)):
+        k = np.zeros((128, 2), dtype=np.int8)
+        rows = np.arange(128) if code == 1 else rng.choice(128, 64, replace=False)
+        k[rows, 1] = rng.choice([-code, code], rows.size)
+        psi = StateVector(7, 1, np.arange(2), k, e)
+        kept = k.copy()
+        with pytest.raises(ValueError, match="wrap past 127"):
+            hadamard_first_register(psi)
+        assert np.array_equal(psi.k, kept)
+    # at a sum of 127 the guard passes: the butterfly values fit int8 (row 0 of
+    # column 0 is 63 * 2 + 1 = 127) but leave the code set
+    k = np.zeros((128, 2), dtype=np.int8)
+    k[:63, 0] = 2
+    k[63, 0] = 1
+    k[:3, 1] = 1
+    with pytest.raises(ValueError, match="codes"):
+        hadamard_first_register(StateVector(7, 1, np.arange(2), k, 8))
 
 
 # --------------------------------------------------------------------- density
@@ -117,7 +143,7 @@ def test_density_of_basis_state():
 
 
 def test_density_of_plus_state():
-    rho = density_of(flat_state(1, 0, [INV_SQRT2, INV_SQRT2]))
+    rho = density_of(flat_state(1, 0, [1, 1], 1))
     assert np.allclose(rho, np.full((2, 2), 0.5))
 
 
@@ -147,7 +173,7 @@ def test_density_of_is_the_full_outer_product_on_the_support_bit_for_bit(n):
 def test_density_invariants_on_random_states():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        psi = normalized_state(2, 1, rng.standard_normal(8))
+        psi = random_exact_state(rng, 2, 1)
         rho = density_of(psi)
         assert np.abs(rho - rho.conj().T).max() < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -158,34 +184,44 @@ def test_density_invariants_on_random_states():
 # ---------------------------------------------------------- magnitude histogram
 
 
-def unique_histogram(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    amps = np.asarray(amps).reshape(-1)
-    values, counts = np.unique(np.abs(amps[amps != 0.0]), return_counts=True)
-    return values, counts.astype(np.float64)
+def unique_histogram(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    k = np.asarray(k).reshape(-1)
+    values, counts = np.unique(np.abs(k[k != 0]), return_counts=True)
+    return values.astype(np.float64), counts.astype(np.float64)
+
+
+def dense_codes(rng: np.random.Generator, rows: int, width: int, ones: int, twos: int) -> np.ndarray:
+    """A rows x width int8 block with ``ones`` codes +-1 and ``twos`` codes +-2 at random places."""
+    k = np.zeros(rows * width, dtype=np.int8)
+    places = rng.choice(k.size, ones + twos, replace=False)
+    k[places] = rng.choice([-1, 1], places.size) * np.repeat(np.int8([1, 2]), [ones, twos])
+    return k.reshape(rows, width)
 
 
 def test_magnitude_histogram_matches_unique_bit_for_bit():
     rng = np.random.default_rng(41)
     blocks = [
-        rng.standard_normal((16, 8)),
-        rng.integers(-3, 4, (32, 16)) * 0.1,  # few magnitudes, both signs, many zeros
-        np.zeros((4, 4)),
-        np.array([-0.0, 0.0, 0.25, -0.25]),
+        dense_codes(rng, 16, 8, 60, 4),
+        dense_codes(rng, 32, 16, 0, 100),
+        dense_codes(rng, 32, 16, 100, 0),
+        rng.integers(-2, 3, (64, 32)).astype(np.int8),
+        np.zeros((4, 4), dtype=np.int8),
+        np.int8([-2, 0, 1, -1]),
     ]
     for f in (random_two_to_one(5, 0b10110, 3), random_bijection(5, 3), random_two_to_one(8, 1, 8)):
-        blocks += [psi.block for psi in run_stages(f).values()]
+        blocks += [psi.k for psi in run_stages(f).values()]
     for block in blocks:
+        kept = block.copy()
         values, counts = magnitude_histogram(block)
         expected_values, expected_counts = unique_histogram(block)
-        assert values.dtype == expected_values.dtype
-        assert np.array_equal(values.view(np.uint64), expected_values.view(np.uint64))
+        assert values.dtype == counts.dtype == np.float64
+        assert np.array_equal(values, expected_values)
         assert np.array_equal(counts, expected_counts)
         assert not values.flags.writeable and not counts.flags.writeable
-    # the block itself is not modified by the in-place absolute value
-    block = rng.integers(-3, 4, (8, 8)) * 0.1
-    kept = block.copy()
-    magnitude_histogram(block)
-    assert np.array_equal(block, kept)
+        assert np.array_equal(block, kept)
+    for bad in (3, -3, 127, -128):
+        with pytest.raises(ValueError, match="codes"):
+            magnitude_histogram(np.int8([0, 1, bad]))
 
 
 # ------------------------------------------------------------------------- eig
@@ -303,50 +339,68 @@ def test_first_register_distribution_uniform():
 
 
 def test_first_register_distribution_split_state():
-    amps = np.zeros(8)
-    amps[[0, 5]] = INV_SQRT2  # |0>|0> and |1>|01>
-    psi = flat_state(1, 2, amps)
-    assert np.allclose(first_register_distribution(psi), [0.5, 0.5])
-    assert np.allclose(second_register_distribution(psi), [0.5, 0.5, 0.0, 0.0])
+    k = np.zeros(8, dtype=np.int8)
+    k[[0, 5]] = 1  # |0>|0> and |1>|01>
+    psi = flat_state(1, 2, k, 1)
+    assert np.array_equal(first_register_distribution(psi), [0.5, 0.5])
+    assert np.array_equal(second_register_distribution(psi), [0.5, 0.5, 0.0, 0.0])
+
+
+def exact_sums(psi: StateVector, axis: int) -> np.ndarray:
+    """sum k^2 2^-e along ``axis`` as Python integers over a power of two, rounded once."""
+    squares = (psi.k.astype(np.int64) ** 2).sum(axis=axis)
+    return np.array([float(Fraction(int(total), 1 << psi.e)) for total in squares])
+
+
+def exact_distribution_states():
+    """Random exact blocks with one or two codes and one or many columns, and the
+    circuit's stages at n = 10."""
+    rng = np.random.default_rng(43)
+    states = []
+    for rows, width, ones, twos in ((1024, 100, 1 << 15, 1 << 13), (2048, 3, 0, 1 << 10),
+                                     (64, 1, 32, 8), (8, 2, 16, 0), (65536, 1, 1 << 12, 0)):
+        e = (ones + 4 * twos).bit_length() - 1
+        k = dense_codes(rng, rows, width, ones, twos)
+        states.append(StateVector(rows.bit_length() - 1, (width - 1).bit_length(), np.arange(width), k, e))
+    for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
+        states += list(run_stages(f).values())
+    return states
 
 
 def test_first_register_distribution_matches_one_sum_bit_for_bit():
-    # blocks of several squaring chunks, one not a whole number of them, and one column
-    rng = np.random.default_rng(43)
-    grid = rng.standard_normal((1024, 100))
-    states = [StateVector(10, 7, np.arange(100), grid / np.linalg.norm(grid))]
-    for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
-        states += list(run_stages(f).values())
-    for psi in states:
-        expected = (np.abs(psi.block) ** 2).sum(axis=1)
-        assert np.array_equal(first_register_distribution(psi).view(np.uint64), expected.view(np.uint64))
+    # integer sums are exact in any order, so each probability is k^2 2^-e rounded once
+    for psi in exact_distribution_states():
+        probs = first_register_distribution(psi)
+        assert np.array_equal(probs.view(np.uint64), exact_sums(psi, 1).view(np.uint64))
+        if psi.e % 2 == 0:
+            # the amplitudes are exact too, so summing their float squares agrees
+            grid = psi.amps.reshape(1 << psi.n_first, -1)
+            assert np.array_equal(probs, (grid**2).sum(axis=1))
 
 
 def test_column_weights_match_one_sum_bit_for_bit():
-    # blocks of one squaring chunk or several, some rows not a whole number of
-    # chunks, and one or two columns
-    rng = np.random.default_rng(83)
-    states = []
-    for rows, width in ((2048, 100), (1024, 97), (32768, 3), (32768, 2), (8, 2), (65536, 1), (64, 1)):
-        grid = rng.standard_normal((rows, width))
-        states.append(StateVector(rows.bit_length() - 1, 7, np.arange(width), grid / np.linalg.norm(grid)))
-    for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
-        states.append(run_stages(f)[Stage.ORACLE])
-    for psi in states:
-        expected = (np.abs(psi.block) ** 2).sum(axis=0)
+    for psi in exact_distribution_states():
         weights = column_weights(psi)
-        if psi.block.shape[1] == 1:
-            # numpy sums a lone column pairwise, so only the value is pinned
-            assert abs(weights[0] - expected[0]) <= 1e-14
-        else:
-            assert np.array_equal(weights.view(np.uint64), expected.view(np.uint64)), psi.block.shape
+        assert np.array_equal(weights.view(np.uint64), exact_sums(psi, 0).view(np.uint64))
+        if psi.e % 2 == 0:
+            grid = psi.amps.reshape(1 << psi.n_first, -1)
+            assert np.array_equal(weights, (grid[:, psi.columns] ** 2).sum(axis=0))
 
 
 def test_distributions_sum_to_one():
     rng = np.random.default_rng(23)
-    psi = normalized_state(2, 2, rng.standard_normal(16))
-    assert abs(first_register_distribution(psi).sum() - 1.0) < 1e-12
-    assert abs(second_register_distribution(psi).sum() - 1.0) < 1e-12
+    for _ in range(20):
+        psi = random_exact_state(rng, 2, 2)
+        assert first_register_distribution(psi).sum() == 1.0
+        assert second_register_distribution(psi).sum() == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_circuit_stage_holds_int8_codes_with_sum_of_squares_two_to_the_e(n):
+    for psi in circuit_states(n):
+        assert psi.k.dtype == np.int8
+        assert int(np.add.reduce(psi.k * psi.k, axis=None, dtype=np.int64)) == 1 << psi.e
+        assert "amps" not in vars(psi)
 
 
 # ----------------------------------------------------- permutation invariance
