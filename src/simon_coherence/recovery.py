@@ -24,6 +24,9 @@ __all__ = [
     "recover",
 ]
 
+# doubles drawn per call of the generator; a recovery needs about n + 1
+_SAMPLE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class Gf2System:
@@ -95,6 +98,20 @@ class RecoveryReport:
     rank: int
 
 
+def _born_samples(probs: np.ndarray, rng: np.random.Generator):
+    """Endless samples of the outcomes of positive probability in ``probs``.
+
+    Each is what ``rng.choice(support.size, p=weights)`` would draw, a uniform
+    double located in the normalised cumulative weights, so the stream is the
+    same; the doubles are drawn a block at a time, and the weights summed once.
+    """
+    support = np.flatnonzero(probs > 0.0)
+    cdf = np.cumsum(probs[support] / probs[support].sum())
+    cdf /= cdf[-1]
+    while True:
+        yield from support[cdf.searchsorted(rng.random(_SAMPLE_BLOCK), side="right")].tolist()
+
+
 def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryReport:
     """Sample measurement outcomes until the mask is determined.
 
@@ -106,9 +123,7 @@ def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryR
         max_queries = 10 * f.n + 20
     rng = np.random.default_rng(seed)
     stages = run_stages(f)
-    probs = first_register_distribution(stages[Stage.FINAL_HADAMARD])
-    support = np.flatnonzero(probs > 0.0)
-    weights = probs[support] / probs[support].sum()
+    samples = _born_samples(first_register_distribution(stages[Stage.FINAL_HADAMARD]), rng)
     system = Gf2System(f.n)
     queries = 0
     while True:
@@ -122,6 +137,6 @@ def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryR
             return RecoveryReport(0, queries, system.rank)
         if queries >= max_queries:
             return RecoveryReport(None, queries, system.rank)
-        y = int(support[rng.choice(support.size, p=weights)])
+        y = next(samples)
         queries += 1
         system = add_constraint(system, y)

@@ -35,7 +35,7 @@ __all__ = [
 
 def bits_to_int(bits: str) -> int:
     """Parse a big-endian bit string such as "110" (the integer 6)."""
-    if not bits or any(c not in "01" for c in bits):
+    if not bits or bits.strip("01"):
         raise ValueError(f"invalid bit string: {bits!r}")
     return int(bits, 2)
 
@@ -217,24 +217,112 @@ class FunctionTableError(ValueError):
         self.line = line
 
 
+# The code points str.split() treats as whitespace, and those at which
+# str.splitlines() ends a line ("\r\n" ends one line), as runs (first, count).
+_SPACE_RUNS = ((0x09, 5), (0x1C, 5), (0x85, 1), (0xA0, 1), (0x1680, 1), (0x2000, 11),
+               (0x2028, 2), (0x202F, 1), (0x205F, 1), (0x3000, 1))
+_BREAK_RUNS = ((0x0A, 4), (0x1C, 3), (0x85, 1), (0x2028, 2))
+# code points classified, and table lines checked, per step; this bounds the temporaries
+_BLOCK = 1 << 18
+_LINES = 1 << 16
+
+
 def format_function_table(f: SimonFunction) -> str:
-    """Render the table format: header ``n=<int> s=<bits>`` then one x/f(x) pair per line."""
-    lines = [f"n={f.n} s={int_to_bits(f.s, f.n)}"]
-    for x in range(1 << f.n):
-        lines.append(f"{int_to_bits(x, f.n)} {int_to_bits(f(x), f.n)}")
-    return "\n".join(lines) + "\n"
+    """Render the table format: header ``n=<int> s=<bits>`` then one x/f(x) pair per line.
+
+    The body is a (2^n, 2n + 2) array of ASCII bytes, filled from the
+    unpacked bits of x and f(x) and decoded once with the header.
+    """
+    n = f.n
+    header = f"n={n} s={int_to_bits(f.s, n)}\n".encode("ascii")
+    text = np.empty(len(header) + ((2 * n + 2) << n), dtype=np.uint8)
+    text[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    body = text[len(header):].reshape(1 << n, 2 * n + 2)
+    body[:, n] = ord(" ")
+    body[:, -1] = ord("\n")
+    for first, values in ((0, np.arange(1 << n)), (n + 1, f.table)):
+        bits = np.unpackbits(values.astype(">u4").view(np.uint8)).reshape(-1, 32)
+        np.bitwise_or(bits[:, 32 - n:], ord("0"), out=body[:, first:first + n])
+    return str(text.data, "ascii")
 
 
 def parse_function_table(text: str) -> SimonFunction:
-    """Parse and validate a function table, reporting errors by line number."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+    """Parse and validate a function table, reporting errors by line number.
+
+    Lines end where ``str.splitlines`` ends them, tokens are the runs that
+    ``str.split`` finds between whitespace, and trailing blank lines are
+    ignored.  The text is tokenised in one vectorised pass, and then the body
+    lines are checked many at once: two tokens, each of exactly n characters,
+    all of them 0 or 1, with the inputs in lexicographic order.  The first
+    failing line is reported, with the first of those checks it fails.
+    """
+    n, s, table = _read_table(text)
+    f = SimonFunction(n, table, s)
+    ok, why = validate_function(f)
+    if not ok:
+        raise FunctionTableError(1, f"table inconsistent with declared mask: {why}")
+    return f
+
+
+def _read_table(text: str) -> tuple[int, int, np.ndarray]:
+    """(n, s, table) of a function table's text, before the mask is checked."""
+    c = _code_points(text)
+    starts, ends, breaks = _tokenise(c)
+    if not starts.size:
         raise FunctionTableError(1, "empty function table")
-    header = lines[0].split()
+    # every line after the one holding the last token is blank
+    lines = int(np.searchsorted(breaks, starts[-1])) + 1
+    n, s = _parse_header(_line(text, breaks, 0))
+    size = 1 << n
+    if lines - 1 != size:
+        raise FunctionTableError(
+            min(lines + 1, size + 2),
+            f"expected {size} table lines after the header, got {lines - 1}",
+        )
+    line_ends = np.append(breaks[:size], breaks.dtype.type(c.size))
+    # read each token right-aligned in a window of 8, 16 or 32 code points; a
+    # token n wide ends past the header, so its window never starts before 0
+    width = 8 << ((n - 1) // 8).bit_length()
+    windows = np.lib.stride_tricks.sliding_window_view(c, width)
+    mask = (1 << n) - 1
+    table = np.empty(size, dtype=np.int64)
+    for lo in range(0, size, _LINES):
+        # line x + 1 holds the tokens cut[x - lo] to cut[x - lo + 1] - 1
+        cut = np.searchsorted(starts, line_ends[lo:lo + _LINES + 1])
+        first = np.minimum(cut[:-1], starts.size - 1)
+        second = np.minimum(first + 1, starts.size - 1)
+        values, not_bits = [], False
+        for token in (first, second):
+            chars = windows[np.maximum(ends[token] - width, 0)]
+            ones, zeros = (np.packbits(chars == ord(b)).view(f">u{width // 8}") & mask for b in "10")
+            not_bits = not_bits | ((ones | zeros) != mask)
+            values.append(ones)
+        checks = (
+            np.diff(cut) != 2,
+            (ends[first] - starts[first] != n) | (ends[second] - starts[second] != n),
+            not_bits,
+            values[0] != np.arange(lo, lo + first.size),
+        )
+        failed = checks[0] | checks[1] | checks[2] | checks[3]
+        if failed.any():
+            x = lo + int(np.argmax(failed))
+            line = _line(text, breaks, x + 1)
+            messages = (
+                f"expected '<x bits> <f(x) bits>', got {line!r}",
+                f"entries must be exactly {n} bits: {line!r}",
+                f"invalid bit string: {line!r}",
+                f"inputs must appear in lexicographic order; expected {int_to_bits(x, n)}",
+            )
+            raise FunctionTableError(x + 2, next(m for m, bad in zip(messages, checks) if bad[x - lo]))
+        table[lo:lo + first.size] = values[1]
+    return n, s, table
+
+
+def _parse_header(header_line: str) -> tuple[int, int]:
+    """(n, s) from the header line ``n=<int> s=<bits>``."""
+    header = header_line.split()
     if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("s="):
-        raise FunctionTableError(1, f"expected header 'n=<int> s=<bits>', got {lines[0]!r}")
+        raise FunctionTableError(1, f"expected header 'n=<int> s=<bits>', got {header_line!r}")
     try:
         n = int(header[0][2:])
     except ValueError:
@@ -245,35 +333,61 @@ def parse_function_table(text: str) -> SimonFunction:
     if len(s_bits) != n:
         raise FunctionTableError(1, f"s must be exactly {n} bits, got {s_bits!r}")
     try:
-        s = bits_to_int(s_bits)
+        return n, bits_to_int(s_bits)
     except ValueError:
         raise FunctionTableError(1, f"invalid s in header: {s_bits!r}") from None
-    size = 1 << n
-    if len(lines) - 1 != size:
-        raise FunctionTableError(
-            min(len(lines) + 1, size + 2),
-            f"expected {size} table lines after the header, got {len(lines) - 1}",
-        )
-    table = np.empty(size, dtype=np.int64)
-    for x in range(size):
-        lineno = x + 2
-        parts = lines[x + 1].split()
-        if len(parts) != 2:
-            raise FunctionTableError(lineno, f"expected '<x bits> <f(x) bits>', got {lines[x + 1]!r}")
-        if len(parts[0]) != n or len(parts[1]) != n:
-            raise FunctionTableError(lineno, f"entries must be exactly {n} bits: {lines[x + 1]!r}")
-        try:
-            x_val = bits_to_int(parts[0])
-            f_val = bits_to_int(parts[1])
-        except ValueError:
-            raise FunctionTableError(lineno, f"invalid bit string: {lines[x + 1]!r}") from None
-        if x_val != x:
-            raise FunctionTableError(
-                lineno, f"inputs must appear in lexicographic order; expected {int_to_bits(x, n)}"
-            )
-        table[x] = f_val
-    f = SimonFunction(n, table, s)
-    ok, why = validate_function(f)
-    if not ok:
-        raise FunctionTableError(1, f"table inconsistent with declared mask: {why}")
-    return f
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``: one byte each for ASCII text, else four."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _tokenise(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(token starts, token ends, line breaks) of the code points ``c``.
+
+    Tokens are the runs of non-whitespace that ``str.split`` returns, as
+    half-open [start, end) positions; breaks are the positions at which
+    ``str.splitlines`` ends a line.  The text is classified a block at a time,
+    and positions are int32 where they fit, so no temporary spans all of it.
+    """
+    index = np.int32 if c.size < 2**31 else np.int64
+    edges, breaks = [], []
+    before = True  # the text starts as if after whitespace
+    for lo in range(0, c.size, _BLOCK):
+        block = c[lo:lo + _BLOCK]
+        space = _in_runs(block, _SPACE_RUNS)
+        if space[0] != before:
+            edges.append(np.array([lo], dtype=index))
+        edges.append((np.flatnonzero(space[1:] != space[:-1]) + (lo + 1)).astype(index))
+        breaks.append((np.flatnonzero(_in_runs(block, _BREAK_RUNS)) + lo).astype(index))
+        before = space[-1]
+    edges = np.concatenate([np.empty(0, dtype=index), *edges])
+    if edges.size % 2:
+        edges = np.append(edges, index(c.size))  # the last token runs to the end of the text
+    breaks = np.concatenate([np.empty(0, dtype=index), *breaks])
+    # the "\n" of a "\r\n" ends no second line
+    crlf = (c[breaks] == ord("\n")) & (c[np.maximum(breaks - 1, 0)] == ord("\r"))
+    starts, ends = edges.reshape(-1, 2).T.copy()
+    return starts, ends, breaks[~crlf]
+
+
+def _in_runs(block: np.ndarray, runs) -> np.ndarray:
+    """Whether each code point of ``block`` lies in one of the (first, count) runs."""
+    top = 0x80 if block.itemsize == 1 else 0x110000  # one-byte blocks hold ASCII only
+    hit = np.zeros(block.shape, dtype=bool)
+    for first, count in runs:
+        if first < top:
+            hit |= (block - first) < count  # unsigned, so code points below first wrap high
+    return hit
+
+
+def _line(text: str, breaks: np.ndarray, i: int) -> str:
+    """Line i (from 0) of ``text.splitlines()``, located by the break positions."""
+    lo = 0
+    if i:
+        end = int(breaks[i - 1])
+        lo = end + (2 if text.startswith("\r\n", end) else 1)
+    return text[lo:int(breaks[i]) if i < breaks.size else len(text)]

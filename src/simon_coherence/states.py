@@ -119,26 +119,31 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     A fast Walsh-Hadamard transform over the first-register index bits with
     the second-register index held fixed.  H on n qubits is 2^(-n/2) times a
     +-1 matrix, so the unnormalized butterflies run in place on a copy of the
-    int8 codes, the exponent grows by n_first, and a factor 2^t common to
-    every new code then moves back into the exponent.  The layer keeps the
-    columns; it is unitary, and an involution on the states it accepts.
+    codes, the exponent grows by n_first, and a factor 2^t common to every new
+    code then moves back into the exponent.  The layer keeps the columns; it
+    is unitary, and an involution on the states it accepts.
 
     Every butterfly value of a column is a signed sum of that column's codes,
-    so a column whose sum of |k| exceeds 127 could wrap int8: such a state
-    raises ValueError before any arithmetic.  Codes the transform leaves
-    outside {0, +-1, +-2} fail the ``StateVector`` check.
+    so its sum of |k| bounds them all: the butterflies run in the narrowest
+    integer type that holds it, int8 for every layer of the circuit.  Codes
+    the transform leaves outside {0, +-1, +-2} raise ValueError before any
+    cast back to int8, so none can wrap into a valid code.
     """
-    # a column's sum of |k| is at most its sum of k^2, so at most 2^e; 127 is int8's largest value
-    if 1 << psi.e > 127:
+    dtype = np.int8
+    # a column's sum of |k| is at most its sum of k^2, so at most 2^e
+    if 1 << psi.e > np.iinfo(dtype).max:
         mass = int(np.add.reduce(np.abs(psi.k), axis=0, dtype=np.int32).max())
-        if mass > 127:
-            raise ValueError(f"a column's sum of |k| is {mass}; int8 butterflies wrap past 127")
-    k = psi.k.copy()
+        dtype = next(t for t in (np.int8, np.int16, np.int32) if mass <= np.iinfo(t).max)
+    k = psi.k.astype(dtype)
     _butterflies(k)
     common = int(np.bitwise_or.reduce(k, axis=None))
     shift = (common & -common).bit_length() - 1
     if shift:
         np.right_shift(k, shift, out=k)
+    if k.dtype != np.int8:
+        if k.min() < -2 or k.max() > 2:
+            raise ValueError("codes k must lie in {0, +-1, +-2}")
+        k = k.astype(np.int8)
     return StateVector(psi.n_first, psi.n_second, psi.columns, k, psi.e + psi.n_first - 2 * shift)
 
 

@@ -142,6 +142,23 @@ def test_block_row_sums_leave_the_sample_stream_unchanged(monkeypatch, n):
         assert got.s_hat == s
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_block_sampler_draws_what_single_choice_calls_draw(seed):
+    from simon_coherence.recovery import _born_samples
+
+    n = 1 + seed
+    f = random_bijection(n, seed) if seed % 3 == 0 else random_two_to_one(n, (1 << n) - 1, seed)
+    circuit = first_register_distribution(run_stages(f)[Stage.FINAL_HADAMARD])
+    uneven = np.random.default_rng(seed).random(37) * (np.arange(37) % 4 != 1)
+    for probs in (circuit, uneven / uneven.sum()):
+        support = np.flatnonzero(probs > 0.0)
+        weights = probs[support] / probs[support].sum()
+        rng = np.random.default_rng(seed + 100)
+        expected = [int(support[rng.choice(support.size, p=weights)]) for _ in range(150)]
+        # 150 samples span five blocks of doubles
+        assert list(itertools.islice(_born_samples(probs, np.random.default_rng(seed + 100)), 150)) == expected
+
+
 # ------------------------------------------------------------------- recovery
 
 

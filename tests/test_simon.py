@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simon_coherence import states
+from simon_coherence import simon, states
 from simon_coherence import (
     FunctionTableError,
     SimonFunction,
@@ -27,6 +27,7 @@ from simon_coherence import (
     run_stages,
     validate_function,
 )
+from simon_coherence.tolerances import MAX_ORACLE_BITS
 from conftest import dot_mod2, flat_state, random_codes, random_exact_state, second_register_distribution
 
 
@@ -416,11 +417,7 @@ def test_layers_match_the_full_grid_reference_bit_for_bit(n):
         for psi in states:
             columns_seen.add(occupied_columns(psi) / (1 << n))
             assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi.amps, f)))
-            if np.abs(psi.k).sum(axis=0).max() > 127:
-                # from n = 7 on, a column of the Hadamard or final stage could wrap int8
-                with pytest.raises(ValueError, match="wrap past 127"):
-                    hadamard_first_register(psi)
-                continue
+            # from n = 7 on, the butterflies of a Hadamard or final-stage column run wider than int8
             assert_matches_reference(hadamard_first_register(psi).amps, reference_hadamard(psi.amps, n), psi.e)
     # one column, half of them (two-to-one oracle stage) and all of them are covered
     assert {1 / (1 << n), 0.5, 1.0} <= columns_seen
@@ -561,6 +558,171 @@ def test_circuit_layers_never_build_the_full_vector():
 
 
 # -------------------------------------------------------------- function table
+
+
+def reference_format_function_table(f: SimonFunction) -> str:
+    """The table text built line by line, as the vectorised formatter must reproduce."""
+    lines = [f"n={f.n} s={int_to_bits(f.s, f.n)}"]
+    lines += [f"{int_to_bits(x, f.n)} {int_to_bits(f(x), f.n)}" for x in range(1 << f.n)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_parse_function_table(text: str) -> SimonFunction:
+    """The line-by-line parser, kept as the reference for the vectorised one."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise FunctionTableError(1, "empty function table")
+    header = lines[0].split()
+    if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("s="):
+        raise FunctionTableError(1, f"expected header 'n=<int> s=<bits>', got {lines[0]!r}")
+    try:
+        n = int(header[0][2:])
+    except ValueError:
+        raise FunctionTableError(1, f"invalid n in header: {header[0][2:]!r}") from None
+    if not 1 <= n <= MAX_ORACLE_BITS:
+        raise FunctionTableError(1, f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
+    s_bits = header[1][2:]
+    if len(s_bits) != n:
+        raise FunctionTableError(1, f"s must be exactly {n} bits, got {s_bits!r}")
+    try:
+        s = bits_to_int(s_bits)
+    except ValueError:
+        raise FunctionTableError(1, f"invalid s in header: {s_bits!r}") from None
+    size = 1 << n
+    if len(lines) - 1 != size:
+        raise FunctionTableError(
+            min(len(lines) + 1, size + 2),
+            f"expected {size} table lines after the header, got {len(lines) - 1}",
+        )
+    table = np.empty(size, dtype=np.int64)
+    for x in range(size):
+        lineno = x + 2
+        parts = lines[x + 1].split()
+        if len(parts) != 2:
+            raise FunctionTableError(lineno, f"expected '<x bits> <f(x) bits>', got {lines[x + 1]!r}")
+        if len(parts[0]) != n or len(parts[1]) != n:
+            raise FunctionTableError(lineno, f"entries must be exactly {n} bits: {lines[x + 1]!r}")
+        try:
+            x_val = bits_to_int(parts[0])
+            f_val = bits_to_int(parts[1])
+        except ValueError:
+            raise FunctionTableError(lineno, f"invalid bit string: {lines[x + 1]!r}") from None
+        if x_val != x:
+            raise FunctionTableError(
+                lineno, f"inputs must appear in lexicographic order; expected {int_to_bits(x, n)}"
+            )
+        table[x] = f_val
+    f = SimonFunction(n, table, s)
+    ok, why = validate_function(f)
+    if not ok:
+        raise FunctionTableError(1, f"table inconsistent with declared mask: {why}")
+    return f
+
+
+def parse_outcome(parse, text: str):
+    """(n, s, table) of a table the parser accepts, or (line, message) of its error."""
+    try:
+        f = parse(text)
+    except FunctionTableError as exc:
+        return exc.line, str(exc)
+    return f.n, f.s, f.table.tolist()
+
+
+def assert_parses_like_the_reference(text: str) -> None:
+    assert parse_outcome(parse_function_table, text) == parse_outcome(reference_parse_function_table, text)
+
+
+CORRUPTIONS = ("swap", "drop", "extra", "bad_char", "width", "three_tokens",
+               "tabs", "spaces", "non_ascii_digit", "crlf_line")
+
+
+@st.composite
+def table_texts(draw):
+    """A canonical table text, often with single-line corruptions and other line endings."""
+    n = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**16))
+    s = draw(st.integers(0, (1 << n) - 1))
+    f = random_two_to_one(n, s, seed) if s else random_bijection(n, seed)
+    lines = format_function_table(f).splitlines()
+    for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2)):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, max(len(line) - 1, 0)))
+        if kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], line
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "extra":
+            lines.insert(i, draw(st.sampled_from([line, "", "  ", "0 1", "\t"])))
+        elif kind == "bad_char":
+            lines[i] = line[:at] + draw(st.sampled_from("2x-=\x00\x0b\xa0\u2028")) + line[at + 1:]
+        elif kind == "width":
+            lines[i] = line[:at] + draw(st.sampled_from(["", "0", "1", "01"])) + line[at + 1:]
+        elif kind == "three_tokens":
+            lines[i] = line + draw(st.sampled_from([" 0", " 1", "\t" + line, " x"]))
+        elif kind == "tabs":
+            lines[i] = line.replace(" ", "\t")
+        elif kind == "spaces":
+            lines[i] = draw(st.sampled_from(["", " ", "\u3000"])) + line.replace(" ", "   ") + draw(
+                st.sampled_from(["", " ", "\t", "\x1f"]))
+        elif kind == "non_ascii_digit":
+            lines[i] = line[:at] + draw(st.sampled_from("\u0661\u0660\uff11\U0001d7cf")) + line[at + 1:]
+        elif kind == "crlf_line":
+            lines[i] = line + "\r"
+        if not lines:
+            break
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = draw(st.sampled_from(["", ending]))
+    return ending.join(lines) + final + draw(st.sampled_from(["", "\n", "\n\n", " \n\t", "\r\n \r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_texts())
+def test_parser_matches_the_line_by_line_reference(text):
+    assert_parses_like_the_reference(text)
+    # again with steps so small that their edges split tokens, "\r\n" pairs and lines
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(simon, "_BLOCK", 61)
+        patched.setattr(simon, "_LINES", 7)
+        assert_parses_like_the_reference(text)
+
+
+def test_parser_matches_the_reference_on_each_side_of_a_step():
+    # the body is checked 2^16 lines at a time: a fault on either side of a step
+    # boundary, or on the last line, is reported at its own line
+    n = 17
+    lines = format_function_table(random_two_to_one(n, 0b10110, 17)).splitlines()
+    for x in ((1 << 16) - 1, 1 << 16, (1 << n) - 1):
+        for fault in ("2", " 0"):
+            corrupted = lines.copy()
+            corrupted[x + 1] += fault
+            assert_parses_like_the_reference("\n".join(corrupted) + "\n")
+
+
+def test_parser_whitespace_is_that_of_str_split_and_splitlines():
+    points = np.arange(0x110000, dtype=np.uint32)
+    space = [chr(i).isspace() for i in range(0x110000)]
+    breaks = [len(f"a{chr(i)}a".splitlines()) == 2 for i in range(0x110000)]
+    assert np.array_equal(simon._in_runs(points, simon._SPACE_RUNS), space)
+    assert np.array_equal(simon._in_runs(points, simon._BREAK_RUNS), breaks)
+    # ASCII text is read one byte per code point
+    ascii_points = np.arange(0x80, dtype=np.uint8)
+    assert np.array_equal(simon._in_runs(ascii_points, simon._SPACE_RUNS), space[:0x80])
+    assert np.array_equal(simon._in_runs(ascii_points, simon._BREAK_RUNS), breaks[:0x80])
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 20])
+def test_function_table_round_trips_byte_for_byte(n):
+    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
+        text = format_function_table(f)
+        if n <= 12:
+            assert text == reference_format_function_table(f)
+        parsed = parse_function_table(text)
+        assert (parsed.n, parsed.s) == (f.n, f.s)
+        assert np.array_equal(parsed.table, f.table)
 
 
 def test_function_table_round_trip(f_three_qubit):

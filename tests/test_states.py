@@ -20,6 +20,7 @@ from simon_coherence import (
     random_two_to_one,
     run_stages,
 )
+from simon_coherence import states
 from simon_coherence.states import column_weights, magnitude_histogram
 from conftest import (
     circuit_states,
@@ -112,19 +113,32 @@ def test_hadamard_preserves_norm_and_is_involution(n1, n2, seed):
     assert np.array_equal(twice.amps, psi.amps)
 
 
-def test_hadamard_rejects_a_column_whose_butterflies_could_wrap_int8():
-    # one column of 128 codes +-1 (sum of |k| 128), or of 64 codes +-2 (also 128)
+def test_hadamard_rejects_a_column_whose_butterflies_could_wrap_int8(monkeypatch):
+    # one column of 128 codes +-1 (sum of |k| 128), or of 64 codes +-2 (also 128):
+    # the butterflies run in int16, and the values they leave fail the code set
+    # before any cast to int8 could wrap them into it, so no output state is built
     rng = np.random.default_rng(5)
+    built = []
     for code, e in ((1, 7), (2, 8)):
         k = np.zeros((128, 2), dtype=np.int8)
         rows = np.arange(128) if code == 1 else rng.choice(128, 64, replace=False)
         k[rows, 1] = rng.choice([-code, code], rows.size)
         psi = StateVector(7, 1, np.arange(2), k, e)
         kept = k.copy()
-        with pytest.raises(ValueError, match="wrap past 127"):
-            hadamard_first_register(psi)
+        with monkeypatch.context() as patched:
+            patched.setattr(states, "StateVector", lambda *args: built.append(args))
+            with pytest.raises(ValueError, match="codes"):
+                hadamard_first_register(psi)
         assert np.array_equal(psi.k, kept)
-    # at a sum of 127 the guard passes: the butterfly values fit int8 (row 0 of
+    assert not built
+    # a column of 2^7 or 2^15 codes +1 (int16 and int32 butterflies) is the
+    # Hadamard image of |0>, and the layer maps it back there
+    for n_first in (7, 15):
+        column = np.ones((1 << n_first, 1), dtype=np.int8)
+        back = hadamard_first_register(StateVector(n_first, 0, np.arange(1), column, n_first))
+        assert back.e == 0 and back.k.dtype == np.int8
+        assert np.array_equal(np.flatnonzero(back.k), [0]) and back.k[0, 0] == 1
+    # at a sum of 127 the butterflies stay in int8: their values fit (row 0 of
     # column 0 is 63 * 2 + 1 = 127) but leave the code set
     k = np.zeros((128, 2), dtype=np.int8)
     k[:63, 0] = 2
