@@ -169,8 +169,8 @@ def _oracle_from_flags(args, seed: int) -> SimonFunction:
 def _load_oracle(args, seed: int) -> SimonFunction:
     if getattr(args, "function_file", None):
         try:
-            text = Path(args.function_file).read_text()
-        except OSError as exc:
+            text = Path(args.function_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {args.function_file}: {exc}") from None
         f = parse_function_table(text)
         if args.n is not None and args.n != f.n:

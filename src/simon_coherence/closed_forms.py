@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .measures import DEFAULT_PANEL, L1, CoherenceMeasure
 from .simon import Stage
 from .tolerances import MAX_CLOSED_FORM_BITS, TOL
@@ -131,19 +129,11 @@ def coherence_delta(dim: int, measure: CoherenceMeasure) -> float:
 def classify_regime(dim: int) -> RegimeVerdict:
     """Sign of the coherence change over the standard measure panel.
 
-    The panel must agree: all deltas above +TOL.neutral_band, all below
-    -TOL.neutral_band, or all inside that band.  Mixed signs indicate an
-    internal inconsistency.
+    Every panel measure of an equal-magnitude superposition strictly
+    increases with its support, so every delta has the sign of the integer
+    dim^2/4 - dim: the final stage's support less the hadamard stage's.
     """
-    band = TOL.neutral_band
     deltas = {measure: coherence_delta(dim, measure) for measure in DEFAULT_PANEL}
-    values = np.array(list(deltas.values()))
-    if (values > band).all():
-        regime = REGIME_PRODUCTION
-    elif (values < -band).all():
-        regime = REGIME_DEPLETION
-    elif (np.abs(values) <= band).all():
-        regime = REGIME_NEUTRAL
-    else:
-        raise ArithmeticError(f"inconsistent delta signs at dim={dim}: {deltas}")
+    growth = dim * dim // 4 - dim
+    regime = REGIME_PRODUCTION if growth > 0 else REGIME_DEPLETION if growth < 0 else REGIME_NEUTRAL
     return RegimeVerdict(deltas, regime)

@@ -217,16 +217,6 @@ class FunctionTableError(ValueError):
         self.line = line
 
 
-# The code points str.split() treats as whitespace, and those at which
-# str.splitlines() ends a line ("\r\n" ends one line), as runs (first, count).
-_SPACE_RUNS = ((0x09, 5), (0x1C, 5), (0x85, 1), (0xA0, 1), (0x1680, 1), (0x2000, 11),
-               (0x2028, 2), (0x202F, 1), (0x205F, 1), (0x3000, 1))
-_BREAK_RUNS = ((0x0A, 4), (0x1C, 3), (0x85, 1), (0x2028, 2))
-# code points classified, and table lines checked, per step; this bounds the temporaries
-_BLOCK = 1 << 18
-_LINES = 1 << 16
-
-
 def format_function_table(f: SimonFunction) -> str:
     """Render the table format: header ``n=<int> s=<bits>`` then one x/f(x) pair per line.
 
@@ -251,10 +241,15 @@ def parse_function_table(text: str) -> SimonFunction:
 
     Lines end where ``str.splitlines`` ends them, tokens are the runs that
     ``str.split`` finds between whitespace, and trailing blank lines are
-    ignored.  The text is tokenised in one vectorised pass, and then the body
-    lines are checked many at once: two tokens, each of exactly n characters,
-    all of them 0 or 1, with the inputs in lexicographic order.  The first
-    failing line is reported, with the first of those checks it fails.
+    ignored.  The body is decoded in one vectorised pass, at most twice:
+    first as written, which accepts exactly the layout
+    ``format_function_table`` writes, and else rewritten into that layout
+    line by line.  The rewrite holds every line as a str, so a re-spelled
+    table takes about three times the time and twice the peak memory of one
+    as written.  If neither pass decodes, the body lines are walked in order
+    and the first failing line is reported, with the first of these checks
+    it fails: two tokens, each of exactly n characters, all of them 0 or 1,
+    with the inputs in lexicographic order.
     """
     n, s, table = _read_table(text)
     f = SimonFunction(n, table, s)
@@ -266,56 +261,74 @@ def parse_function_table(text: str) -> SimonFunction:
 
 def _read_table(text: str) -> tuple[int, int, np.ndarray]:
     """(n, s, table) of a function table's text, before the mask is checked."""
-    c = _code_points(text)
-    starts, ends, breaks = _tokenise(c)
-    if not starts.size:
+    # as written: a header line ending in "\n", then the body as it stands; a
+    # blank first line is left to the rewrite, which may find the table empty
+    first = text.find("\n") + 1
+    head = text[:first].splitlines()
+    if len(head) == 1 and head[0].strip():
+        n, s = _parse_header(head[0])
+        table = _decode_body(text, first, n)
+        if table is not None:
+            return n, s, table
+    # rewritten: each body line's tokens joined by single spaces
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
         raise FunctionTableError(1, "empty function table")
-    # every line after the one holding the last token is blank
-    lines = int(np.searchsorted(breaks, starts[-1])) + 1
-    n, s = _parse_header(_line(text, breaks, 0))
+    n, s = _parse_header(lines[0])
     size = 1 << n
-    if lines - 1 != size:
+    if len(lines) - 1 != size:
         raise FunctionTableError(
-            min(lines + 1, size + 2),
-            f"expected {size} table lines after the header, got {lines - 1}",
+            min(len(lines) + 1, size + 2),
+            f"expected {size} table lines after the header, got {len(lines) - 1}",
         )
-    line_ends = np.append(breaks[:size], breaks.dtype.type(c.size))
-    # read each token right-aligned in a window of 8, 16 or 32 code points; a
-    # token n wide ends past the header, so its window never starts before 0
-    width = 8 << ((n - 1) // 8).bit_length()
-    windows = np.lib.stride_tricks.sliding_window_view(c, width)
-    mask = (1 << n) - 1
-    table = np.empty(size, dtype=np.int64)
-    for lo in range(0, size, _LINES):
-        # line x + 1 holds the tokens cut[x - lo] to cut[x - lo + 1] - 1
-        cut = np.searchsorted(starts, line_ends[lo:lo + _LINES + 1])
-        first = np.minimum(cut[:-1], starts.size - 1)
-        second = np.minimum(first + 1, starts.size - 1)
-        values, not_bits = [], False
-        for token in (first, second):
-            chars = windows[np.maximum(ends[token] - width, 0)]
-            ones, zeros = (np.packbits(chars == ord(b)).view(f">u{width // 8}") & mask for b in "10")
-            not_bits = not_bits | ((ones | zeros) != mask)
-            values.append(ones)
-        checks = (
-            np.diff(cut) != 2,
-            (ends[first] - starts[first] != n) | (ends[second] - starts[second] != n),
-            not_bits,
-            values[0] != np.arange(lo, lo + first.size),
-        )
-        failed = checks[0] | checks[1] | checks[2] | checks[3]
-        if failed.any():
-            x = lo + int(np.argmax(failed))
-            line = _line(text, breaks, x + 1)
-            messages = (
-                f"expected '<x bits> <f(x) bits>', got {line!r}",
-                f"entries must be exactly {n} bits: {line!r}",
-                f"invalid bit string: {line!r}",
-                f"inputs must appear in lexicographic order; expected {int_to_bits(x, n)}",
-            )
-            raise FunctionTableError(x + 2, next(m for m, bad in zip(messages, checks) if bad[x - lo]))
-        table[lo:lo + first.size] = values[1]
-    return n, s, table
+    table = _decode_body("".join(" ".join(line.split()) + "\n" for line in lines[1:]), 0, n)
+    if table is not None:
+        return n, s, table
+    # the rewritten body decodes unless a line fails one of these checks
+    for x, line in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != 2:
+            message = f"expected '<x bits> <f(x) bits>', got {line!r}"
+        elif len(parts[0]) != n or len(parts[1]) != n:
+            message = f"entries must be exactly {n} bits: {line!r}"
+        elif (parts[0] + parts[1]).strip("01"):
+            message = f"invalid bit string: {line!r}"
+        elif int(parts[0], 2) != x:
+            message = f"inputs must appear in lexicographic order; expected {int_to_bits(x, n)}"
+        else:
+            continue
+        raise FunctionTableError(x + 2, message)
+
+
+def _decode_body(text: str, start: int, n: int) -> np.ndarray | None:
+    """The f column of ``text[start:]``, or None unless it is laid out as written.
+
+    That layout is 2^n ASCII rows ``<x bits> <f(x) bits>\\n`` with the x in
+    order.  Characters are range-checked on views of the rows, and each bit
+    column is packed on its own, so no temporary is larger than half the text.
+    """
+    width = 2 * n + 2
+    if len(text) - start != width << n or not text.isascii():
+        return None
+    rows = np.frombuffer(text.encode("ascii"), dtype=np.uint8, offset=start).reshape(-1, width)
+    xs, fs = rows[:, :n], rows[:, n + 1:-1]
+    if (rows[:, n] != ord(" ")).any() or (rows[:, -1] != ord("\n")).any():
+        return None
+    if min(xs.min(), fs.min()) < ord("0") or max(xs.max(), fs.max()) > ord("1"):
+        return None
+    if not np.array_equal(_bit_values(xs), np.arange(1 << n)):
+        return None
+    return _bit_values(fs).astype(np.int64)
+
+
+def _bit_values(chars: np.ndarray) -> np.ndarray:
+    """The big-endian integers spelled by rows of ASCII ``0``/``1`` characters."""
+    width = chars.shape[1]
+    packed = np.zeros((chars.shape[0], 4), dtype=np.uint8)
+    packed[:, :(width + 7) // 8] = np.packbits(chars & 1, axis=1)
+    return packed.view(">u4").reshape(-1) >> (32 - width)
 
 
 def _parse_header(header_line: str) -> tuple[int, int]:
@@ -336,58 +349,3 @@ def _parse_header(header_line: str) -> tuple[int, int]:
         return n, bits_to_int(s_bits)
     except ValueError:
         raise FunctionTableError(1, f"invalid s in header: {s_bits!r}") from None
-
-
-def _code_points(text: str) -> np.ndarray:
-    """The code points of ``text``: one byte each for ASCII text, else four."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-
-
-def _tokenise(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(token starts, token ends, line breaks) of the code points ``c``.
-
-    Tokens are the runs of non-whitespace that ``str.split`` returns, as
-    half-open [start, end) positions; breaks are the positions at which
-    ``str.splitlines`` ends a line.  The text is classified a block at a time,
-    and positions are int32 where they fit, so no temporary spans all of it.
-    """
-    index = np.int32 if c.size < 2**31 else np.int64
-    edges, breaks = [], []
-    before = True  # the text starts as if after whitespace
-    for lo in range(0, c.size, _BLOCK):
-        block = c[lo:lo + _BLOCK]
-        space = _in_runs(block, _SPACE_RUNS)
-        if space[0] != before:
-            edges.append(np.array([lo], dtype=index))
-        edges.append((np.flatnonzero(space[1:] != space[:-1]) + (lo + 1)).astype(index))
-        breaks.append((np.flatnonzero(_in_runs(block, _BREAK_RUNS)) + lo).astype(index))
-        before = space[-1]
-    edges = np.concatenate([np.empty(0, dtype=index), *edges])
-    if edges.size % 2:
-        edges = np.append(edges, index(c.size))  # the last token runs to the end of the text
-    breaks = np.concatenate([np.empty(0, dtype=index), *breaks])
-    # the "\n" of a "\r\n" ends no second line
-    crlf = (c[breaks] == ord("\n")) & (c[np.maximum(breaks - 1, 0)] == ord("\r"))
-    starts, ends = edges.reshape(-1, 2).T.copy()
-    return starts, ends, breaks[~crlf]
-
-
-def _in_runs(block: np.ndarray, runs) -> np.ndarray:
-    """Whether each code point of ``block`` lies in one of the (first, count) runs."""
-    top = 0x80 if block.itemsize == 1 else 0x110000  # one-byte blocks hold ASCII only
-    hit = np.zeros(block.shape, dtype=bool)
-    for first, count in runs:
-        if first < top:
-            hit |= (block - first) < count  # unsigned, so code points below first wrap high
-    return hit
-
-
-def _line(text: str, breaks: np.ndarray, i: int) -> str:
-    """Line i (from 0) of ``text.splitlines()``, located by the break positions."""
-    lo = 0
-    if i:
-        end = int(breaks[i - 1])
-        lo = end + (2 if text.startswith("\r\n", end) else 1)
-    return text[lo:int(breaks[i]) if i < breaks.size else len(text)]

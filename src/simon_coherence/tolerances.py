@@ -16,7 +16,6 @@ class Tolerances:
     coherence_clamp: float = 1e-10      # negative roundoff clamped to 0 down to -this
     cross_method: float = 1e-9          # dense vs pure vs closed-form agreement
     tsallis_limit_window: float = 1e-9  # |alpha - 1| inside this delegates to the log form
-    neutral_band: float = 1e-12         # |delta| inside this classifies as neutral
 
 
 TOL = Tolerances()

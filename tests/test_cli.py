@@ -202,6 +202,14 @@ def test_run_rejects_malformed_function_file(capsys, tmp_path):
     assert "invalid function table" in err
 
 
+def test_run_rejects_a_function_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"n=1 s=1\n0 0\n1 \xff\n")
+    code, out, err = run_cli(capsys, ["run", "--function-file", str(bad)])
+    assert code == EXIT_USAGE and out == ""
+    assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+
 # ---------------------------------------------------------------------- verify
 
 

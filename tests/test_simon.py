@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simon_coherence import simon, states
+from simon_coherence import states
 from simon_coherence import (
     FunctionTableError,
     SimonFunction,
@@ -683,16 +683,11 @@ def table_texts(draw):
 @given(table_texts())
 def test_parser_matches_the_line_by_line_reference(text):
     assert_parses_like_the_reference(text)
-    # again with steps so small that their edges split tokens, "\r\n" pairs and lines
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(simon, "_BLOCK", 61)
-        patched.setattr(simon, "_LINES", 7)
-        assert_parses_like_the_reference(text)
 
 
 def test_parser_matches_the_reference_on_each_side_of_a_step():
-    # the body is checked 2^16 lines at a time: a fault on either side of a step
-    # boundary, or on the last line, is reported at its own line
+    # in a 2^17-line table, a fault on either side of x = 2^16, or on the last
+    # line, is reported at its own line
     n = 17
     lines = format_function_table(random_two_to_one(n, 0b10110, 17)).splitlines()
     for x in ((1 << 16) - 1, 1 << 16, (1 << n) - 1):
@@ -702,16 +697,25 @@ def test_parser_matches_the_reference_on_each_side_of_a_step():
             assert_parses_like_the_reference("\n".join(corrupted) + "\n")
 
 
+def test_parser_matches_the_reference_near_the_written_layout():
+    # a written table with one bit, separator or line end changed, then blank
+    # texts and texts a line break, a line or a character away from the layout
+    text = format_function_table(random_two_to_one(3, 0b011, 3))
+    row = len("n=3 s=011\n") + 2 * 8  # the third body row
+    same_length = [text[:row + at] + c + text[row + at + 1:] for at in (0, 3, 7) for c in " x0/2\r\n\u0661"]
+    others = ["", "\n", " \n\t\n", "\r\n", text.replace("\n", "\r\n", 1), text.replace("\n", "\rjunk\n", 1),
+              "\n" + text, text[:-1], text + " ", text + "000 000\n", text.replace("000 ", "000  ", 1)]
+    for candidate in same_length + others:
+        assert_parses_like_the_reference(candidate)
+
+
 def test_parser_whitespace_is_that_of_str_split_and_splitlines():
-    points = np.arange(0x110000, dtype=np.uint32)
-    space = [chr(i).isspace() for i in range(0x110000)]
-    breaks = [len(f"a{chr(i)}a".splitlines()) == 2 for i in range(0x110000)]
-    assert np.array_equal(simon._in_runs(points, simon._SPACE_RUNS), space)
-    assert np.array_equal(simon._in_runs(points, simon._BREAK_RUNS), breaks)
-    # ASCII text is read one byte per code point
-    ascii_points = np.arange(0x80, dtype=np.uint8)
-    assert np.array_equal(simon._in_runs(ascii_points, simon._SPACE_RUNS), space[:0x80])
-    assert np.array_equal(simon._in_runs(ascii_points, simon._BREAK_RUNS), breaks[:0x80])
+    lines = format_function_table(random_two_to_one(3, 0b101, 3)).splitlines()
+    for c in map(chr, range(0x110000)):
+        if c.isspace():
+            # c as the separator of every line's tokens, then as every line's ending
+            assert_parses_like_the_reference("\n".join(line.replace(" ", c) for line in lines) + "\n")
+            assert_parses_like_the_reference(c.join(lines) + c)
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 20])
@@ -720,9 +724,11 @@ def test_function_table_round_trips_byte_for_byte(n):
         text = format_function_table(f)
         if n <= 12:
             assert text == reference_format_function_table(f)
-        parsed = parse_function_table(text)
-        assert (parsed.n, parsed.s) == (f.n, f.s)
-        assert np.array_equal(parsed.table, f.table)
+        # as written, and re-spelled with tabs, runs of spaces and trailing blank lines
+        respelled = text.replace(" ", "\t").replace("\n", "  \n ") + "\n\t\n"
+        for parsed in (parse_function_table(text), parse_function_table(respelled)):
+            assert (parsed.n, parsed.s) == (f.n, f.s)
+            assert np.array_equal(parsed.table, f.table)
 
 
 def test_function_table_round_trip(f_three_qubit):
