@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_forms, measures
-from .measures import DEFAULT_PANEL, FAMILIES, METHOD_DENSE, CoherenceMeasure
+from .measures import DEFAULT_PANEL, FAMILIES, METHOD_CLOSED, METHOD_DENSE, METHOD_PURE, CoherenceMeasure
 from .recovery import recover
 from .simon import (
     FunctionTableError,
@@ -232,13 +232,17 @@ def _agreement(values) -> tuple[float, bool]:
 
 def _cross_checks(stages, f: SimonFunction, panel, dense_on: bool):
     """One ``_Check`` per stage and panel measure: the value by every route that
-    applies, keyed by method, with the spread between them.  ``stages`` holds
-    (stage, state) pairs; one density matrix is built per stage."""
+    applies, keyed by method in report order (dense, pure, closed form), with
+    the spread between them.  ``stages`` holds (stage, state) pairs; one
+    density matrix is built per stage."""
     for stage, state in stages:
         rho = density_of(state) if dense_on else None
         for measure in panel:
             closed = closed_forms.stage_coherence(stage, 1 << f.n, f.s, measure)
-            values = measures.route_values(state, rho, measure, closed)
+            values = {METHOD_DENSE: measures.dense_coherence(rho, measure)} if dense_on else {}
+            values[METHOD_PURE] = measures.pure_state_coherence(state, measure)
+            if closed is not None:
+                values[METHOD_CLOSED] = closed
             yield _Check(stage, measure, values, *_agreement(values.values()))
 
 

@@ -15,8 +15,7 @@ invariant under basis relabeling:
 a density matrix and run on all of it; a zero row and column add exactly 0 to
 every measure, so ``density_of`` builds rho on a state's support only.
 ``pure_state_coherence`` evaluates the same quantities from the histogram of
-a pure state's amplitude magnitudes, and ``route_values`` gathers every
-route's value for one measure.
+a pure state's amplitude magnitudes.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "l1_coherence",
     "dense_coherence",
     "pure_state_coherence",
-    "route_values",
 ]
 
 METHOD_DENSE = "dense"
@@ -228,23 +226,6 @@ def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
         return _clamp(1.0 - float(counts @ probs**2))
     total = counts @ codes
     return _clamp(math.ldexp(total * total - counts @ (codes * codes), -psi.e))
-
-
-def route_values(
-    psi: StateVector, rho: np.ndarray | None, measure: CoherenceMeasure, closed: float | None
-) -> dict[str, float]:
-    """The measure by every route that applies, keyed by method in report order.
-
-    ``rho`` is the density matrix of ``psi``, or None to skip the dense route;
-    ``closed`` is the closed-form value, or None where the stage has none.
-    """
-    values = {}
-    if rho is not None:
-        values[METHOD_DENSE] = dense_coherence(rho, measure)
-    values[METHOD_PURE] = pure_state_coherence(psi, measure)
-    if closed is not None:
-        values[METHOD_CLOSED] = closed
-    return values
 
 
 def _shannon_bits(weights: np.ndarray, counts: np.ndarray | None = None) -> float:

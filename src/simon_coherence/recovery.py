@@ -1,6 +1,7 @@
 """Classical reconstruction of the pairing mask from measurement samples.
 
-Each first-register sample y drawn after the final Hadamard layer satisfies
+Each first-register sample y drawn after the final Hadamard layer, by
+``states.born_samples`` from the exact Born distribution, satisfies
 y . s = 0 (mod 2).  Accumulating samples in a GF(2) row-echelon system pins
 the mask down once the rank reaches n - 1; the single nonzero candidate is
 then confirmed with one classical collision query f(0) == f(candidate).
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simon import SimonFunction, Stage, run_stages
-from .states import first_register_distribution
+from .states import born_samples, first_register_distribution
 
 __all__ = [
     "Gf2System",
@@ -23,9 +24,6 @@ __all__ = [
     "solve_nullspace",
     "recover",
 ]
-
-# doubles drawn per call of the generator; a recovery needs about n + 1
-_SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -98,20 +96,6 @@ class RecoveryReport:
     rank: int
 
 
-def _born_samples(probs: np.ndarray, rng: np.random.Generator):
-    """Endless samples of the outcomes of positive probability in ``probs``.
-
-    Each is what ``rng.choice(support.size, p=weights)`` would draw, a uniform
-    double located in the normalised cumulative weights, so the stream is the
-    same; the doubles are drawn a block at a time, and the weights summed once.
-    """
-    support = np.flatnonzero(probs > 0.0)
-    cdf = np.cumsum(probs[support] / probs[support].sum())
-    cdf /= cdf[-1]
-    while True:
-        yield from support[cdf.searchsorted(rng.random(_SAMPLE_BLOCK), side="right")].tolist()
-
-
 def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryReport:
     """Sample measurement outcomes until the mask is determined.
 
@@ -123,7 +107,7 @@ def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryR
         max_queries = 10 * f.n + 20
     rng = np.random.default_rng(seed)
     stages = run_stages(f)
-    samples = _born_samples(first_register_distribution(stages[Stage.FINAL_HADAMARD]), rng)
+    samples = born_samples(first_register_distribution(stages[Stage.FINAL_HADAMARD]), rng)
     system = Gf2System(f.n)
     queries = 0
     while True:

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .states import StateVector, basis_state, column_weights, hadamard_first_register
+from .states import StateVector, basis_state, born_samples, hadamard_first_register
 from .tolerances import MAX_ORACLE_BITS
 
 __all__ = [
@@ -112,9 +112,11 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
     """Check the table against its declared mask.
 
     Returns (True, None) on success, else (False, diagnostic) naming the
-    first violating input pair.  Equal values sit next to each other in a
-    stable sort of the table, so f(x) = f(y) for some y not in {x, x ^ s}
-    exactly when two neighbours there are equal and do not differ by s.
+    first violating input pair.  Once f(x) = f(x ^ s) holds for every x, some
+    f(x) = f(y) with y not in {x, x ^ s} exactly when a value has more than
+    two inputs (more than one for a bijection); the smallest such value is
+    reported, with the first two of its inputs, in increasing order, that do
+    not differ by s.
     """
     n, s = f.n, f.s
     if s:
@@ -126,17 +128,17 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
                 f"f({int_to_bits(x ^ s, n)}) = {int_to_bits(f(x ^ s), n)}; "
                 f"expected f(x) = f(x xor s) for s = {int_to_bits(s, n)}"
             )
-    order = np.argsort(f.table, kind="stable")
-    sorted_vals = f.table[order]
-    clashes = np.flatnonzero((sorted_vals[1:] == sorted_vals[:-1]) & ((order[1:] ^ order[:-1]) != s))
-    if not clashes.size:
+    crowded = np.flatnonzero(np.bincount(f.table, minlength=1 << n) > (2 if s else 1))
+    if not crowded.size:
         return True, None
-    k = int(clashes[0])
-    a, b = int(order[k]), int(order[k + 1])
+    value = int(crowded[0])
+    inputs = np.flatnonzero(f.table == value)
+    k = int(np.flatnonzero((inputs[1:] ^ inputs[:-1]) != s)[0])
+    a, b = int(inputs[k]), int(inputs[k + 1])
     if s == 0:
         return False, (
             f"declared bijective but f({int_to_bits(a, n)}) = "
-            f"f({int_to_bits(b, n)}) = {int_to_bits(int(sorted_vals[k]), n)}"
+            f"f({int_to_bits(b, n)}) = {int_to_bits(value, n)}"
         )
     return False, (
         f"f({int_to_bits(a, n)}) = f({int_to_bits(b, n)}) but "
@@ -187,25 +189,22 @@ def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
 def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[int, StateVector]:
     """Born-sample an f-image from the second register and collapse the state.
 
-    Sampling is restricted to outcomes of strictly positive probability, so
-    an impossible image can never be observed.  The returned state is the
-    renormalized projection onto the observed image: the column's codes with
-    e = log2(sum k^2), which the ``StateVector`` check requires to be an
-    integer.
+    Each occupied column is drawn by ``born_samples`` in proportion to its
+    sum of k^2, so an impossible image can never be observed.  The returned
+    state is the renormalized projection onto the observed image: the
+    column's codes with e = log2(sum k^2), which the ``StateVector`` check
+    requires to be an integer.
     """
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(
             f"oracle on {f.n}+{f.n} qubits does not match a "
             f"{psi.n_first}+{psi.n_second} register state"
         )
-    probs = column_weights(psi)
-    support = np.flatnonzero(probs > 0.0)
-    weights = probs[support] / probs[support].sum()
-    rng = np.random.default_rng(seed)
-    j = int(support[rng.choice(support.size, p=weights)])
+    squares = np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int32)
+    j = next(born_samples(squares, np.random.default_rng(seed)))
     column = psi.k[:, j:j + 1].copy()
-    squares = int(np.add.reduce(column * column, axis=None, dtype=np.int64))
-    collapsed = StateVector(psi.n_first, psi.n_second, psi.columns[j:j + 1], column, squares.bit_length() - 1)
+    collapsed = StateVector(psi.n_first, psi.n_second, psi.columns[j:j + 1], column,
+                            int(squares[j]).bit_length() - 1)
     return int(psi.columns[j]), collapsed
 
 

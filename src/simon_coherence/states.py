@@ -4,6 +4,10 @@ The joint computational basis packs the first register into the high-order
 bits: basis index ``(x << n_second) | z`` holds first-register value ``x``
 and second-register value ``z``.  Bit strings read big-endian, so the label
 "110" names the integer 6.
+
+``born_samples`` is the one Born-rule sampler: both measurements of the
+circuit draw through it, the second register's from integer column sums of
+k^2 and the first register's from ``first_register_distribution``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ __all__ = [
     "hermitian_eig",
     "matrix_power",
     "first_register_distribution",
-    "column_weights",
+    "born_samples",
 ]
+
+# doubles drawn per call of the generator; a measurement takes one, a recovery about n + 1
+_SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,9 +237,21 @@ def first_register_distribution(psi: StateVector) -> np.ndarray:
     return np.ldexp(np.add.reduce(psi.k * psi.k, axis=1, dtype=np.int32), -psi.e)
 
 
-def column_weights(psi: StateVector) -> np.ndarray:
-    """Born weight sum_x k(x, z)^2 2^-e of each occupied column z, in ``psi.columns`` order, exact."""
-    return np.ldexp(np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int32), -psi.e)
+def born_samples(weights: np.ndarray, rng: np.random.Generator):
+    """Endless Born samples: indices of ``weights`` drawn in proportion to them.
+
+    ``weights`` may be any nonnegative integers or floats; only the positive
+    ones can be drawn.  Each sample is what ``Generator.choice`` draws from
+    the positive weights normalised, a uniform double located in their
+    cumulative sums, so the stream is the same.  Weights scaled by a power
+    of two normalise to the same doubles and give the same stream.  The
+    doubles are drawn a block at a time, and the weights summed once.
+    """
+    support = np.flatnonzero(weights > 0)
+    cdf = np.cumsum(weights[support] / weights[support].sum())
+    cdf /= cdf[-1]
+    while True:
+        yield from support[cdf.searchsorted(rng.random(_SAMPLE_BLOCK), side="right")].tolist()
 
 
 def _require_registers(n_first: int, n_second: int) -> None:

@@ -11,7 +11,6 @@ from simon_coherence import (
     random_two_to_one,
     run_stages,
 )
-from simon_coherence.states import column_weights
 
 
 @pytest.fixture
@@ -32,8 +31,9 @@ def dot_mod2(a: int, b: int) -> int:
 
 
 def second_register_distribution(psi: StateVector) -> np.ndarray:
-    """Born probabilities p[z] = sum_x |amp(x, z)|^2 over second-register values."""
-    return np.bincount(psi.columns, column_weights(psi), 1 << psi.n_second)
+    """Born probabilities p[z] = sum_x k(x, z)^2 2^-e over second-register values, exact."""
+    squares = np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int64)
+    return np.bincount(psi.columns, np.ldexp(squares, -psi.e), 1 << psi.n_second)
 
 
 def flat_state(n_first: int, n_second: int, k, e: int) -> StateVector:

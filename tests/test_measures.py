@@ -20,9 +20,6 @@ from simon_coherence import (
     DEFAULT_PANEL,
     FAMILIES,
     L1,
-    METHOD_CLOSED,
-    METHOD_DENSE,
-    METHOD_PURE,
     REL_ENTROPY,
     SKEW_INFO,
     CoherenceMeasure,
@@ -43,7 +40,6 @@ from simon_coherence import (
     random_bijection,
     random_two_to_one,
     relative_entropy_coherence,
-    route_values,
     run_stages,
     skew_information_coherence,
     tsallis,
@@ -137,18 +133,6 @@ def test_families_table_drives_parameters():
             with pytest.raises(ValueError, match=name):
                 CoherenceMeasure(kind)
     assert FAMILIES["tsallis"][0] == "alpha" and FAMILIES["l1p"][0] == "p"
-
-
-def test_route_values_keys_follow_report_order():
-    psi = run_stages(random_two_to_one(2, 0b11, 4))[Stage.FINAL_HADAMARD]
-    rho = density_of(psi)
-    values = route_values(psi, rho, L1, 3.0)
-    assert list(values) == [METHOD_DENSE, METHOD_PURE, METHOD_CLOSED]
-    assert values[METHOD_DENSE] == l1_coherence(rho)
-    assert values[METHOD_PURE] == pure_state_coherence(psi, L1)
-    assert values[METHOD_CLOSED] == 3.0
-    assert all(type(value) is float for value in values.values())
-    assert list(route_values(psi, None, L1, None)) == [METHOD_PURE]
 
 
 # ---------------------------------------------------------------- fixed values

@@ -8,6 +8,7 @@ from simon_coherence import (
     Gf2System,
     Stage,
     add_constraint,
+    born_samples,
     first_register_distribution,
     random_bijection,
     random_two_to_one,
@@ -144,11 +145,10 @@ def test_block_row_sums_leave_the_sample_stream_unchanged(monkeypatch, n):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_block_sampler_draws_what_single_choice_calls_draw(seed):
-    from simon_coherence.recovery import _born_samples
-
     n = 1 + seed
     f = random_bijection(n, seed) if seed % 3 == 0 else random_two_to_one(n, (1 << n) - 1, seed)
-    circuit = first_register_distribution(run_stages(f)[Stage.FINAL_HADAMARD])
+    stages = run_stages(f)
+    circuit = first_register_distribution(stages[Stage.FINAL_HADAMARD])
     uneven = np.random.default_rng(seed).random(37) * (np.arange(37) % 4 != 1)
     for probs in (circuit, uneven / uneven.sum()):
         support = np.flatnonzero(probs > 0.0)
@@ -156,7 +156,15 @@ def test_block_sampler_draws_what_single_choice_calls_draw(seed):
         rng = np.random.default_rng(seed + 100)
         expected = [int(support[rng.choice(support.size, p=weights)]) for _ in range(150)]
         # 150 samples span five blocks of doubles
-        assert list(itertools.islice(_born_samples(probs, np.random.default_rng(seed + 100)), 150)) == expected
+        assert list(itertools.islice(born_samples(probs, np.random.default_rng(seed + 100)), 150)) == expected
+    # integer weights draw what the same weights scaled by 2^-e draw
+    oracle = stages[Stage.ORACLE]
+    column_squares = np.add.reduce(oracle.k * oracle.k, axis=0, dtype=np.int32)
+    counts = np.random.default_rng(seed).integers(0, 9, 37, dtype=np.int32)
+    for weights, e in ((column_squares, oracle.e), (counts, 3 + seed)):
+        integer, scaled = [list(itertools.islice(born_samples(w, np.random.default_rng(seed + 100)), 150))
+                           for w in (weights, np.ldexp(weights, -e))]
+        assert integer == scaled
 
 
 # ------------------------------------------------------------------- recovery

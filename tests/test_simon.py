@@ -164,6 +164,61 @@ def test_validate_function_matches_brute_force_on_every_small_table(n):
             assert violates_mask(table, s, x, y), (table, s, why)
 
 
+def first_violation_by_sort(table: np.ndarray, s: int) -> tuple[int, int] | None:
+    """The input pair ``validate_function`` names, found with a stable sort.
+
+    The first x with f(x) != f(x ^ s) gives (x, x ^ s); otherwise equal values
+    sit next to each other in a stable sort of the table, and the first such
+    neighbours that do not differ by s are the pair.  None for a valid table.
+    """
+    if s:
+        mismatched = np.flatnonzero(table != table[np.arange(table.size) ^ s])
+        if mismatched.size:
+            return int(mismatched[0]), int(mismatched[0]) ^ s
+    order = np.argsort(table, kind="stable")
+    values = table[order]
+    clashes = np.flatnonzero((values[1:] == values[:-1]) & ((order[1:] ^ order[:-1]) != s))
+    return (int(order[clashes[0]]), int(order[clashes[0] + 1])) if clashes.size else None
+
+
+def near_valid_tables(rng: np.random.Generator, count: int):
+    """(n, table, s) at n <= 6: random tables, mask-symmetric tables over few
+    values, and permutations with a few entries overwritten."""
+    for i in range(count):
+        n = 1 + i % 6
+        size = 1 << n
+        s = int(rng.integers(0, size)) if i % 3 else 0
+        if i % 4 == 0:
+            table = rng.integers(0, size, size)
+        elif i % 4 == 1 and s:
+            xs = np.arange(size)
+            reps = xs[xs < (xs ^ s)]
+            table = np.empty(size, dtype=np.int64)
+            table[reps] = table[reps ^ s] = rng.integers(0, max(1, size >> int(rng.integers(0, 3))), reps.size)
+        else:
+            table = rng.permutation(size)
+            for _ in range(int(rng.integers(0, 3))):
+                table[rng.integers(0, size)] = table[rng.integers(0, size)]
+            if s:
+                xs = np.arange(size)
+                reps = xs[xs < (xs ^ s)]
+                table[reps ^ s] = table[reps]
+        yield n, table, s
+
+
+def test_validate_function_names_the_pair_a_stable_sort_finds():
+    seen = set()
+    for n, table, s in near_valid_tables(np.random.default_rng(38), 4000):
+        ok, why = validate_function(SimonFunction(n, table, s))
+        expected = first_violation_by_sort(table, s)
+        assert ok == (expected is None), (table, s, why)
+        if not ok:
+            named = tuple(int(bits, 2) for bits in re.findall(r"f\(([01]+)\)", why)[:2])
+            assert named == expected, (table, s, why)
+            seen.add("bijection" if s == 0 else "mismatch" if "expected f(x)" in why else "clash")
+    assert seen == {"bijection", "mismatch", "clash"}
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_generated_oracles_always_validate(n, seed):
@@ -769,33 +824,20 @@ def test_function_table_rejects_inconsistent_mask(f_two_qubit):
         parse_function_table(text)
 
 
-def test_born_weights_match_the_full_grid_reference_bit_for_bit(monkeypatch):
-    # the weights handed to rng.choice keep the bits of second_register_distribution
-    drawn_with = []
-    original = np.random.default_rng
-
-    class RecordingRng:
-        def __init__(self, seed):
-            self.rng = original(seed)
-
-        def choice(self, a, p):
-            drawn_with.append(p)
-            return self.rng.choice(a, p=p)
-
-    functions = [random_two_to_one(n, 1, n) for n in (2, 4, 6)]
-    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-    rng = original(13)
-    for f in functions:
+def test_born_weights_match_the_full_grid_reference_bit_for_bit():
+    # the draw is rng.choice's over the column weights sum k^2 2^-e, each rounded once
+    rng = np.random.default_rng(13)
+    for f in [random_two_to_one(n, 1, n) for n in (2, 4, 6)]:
         n, size = f.n, 1 << f.n
         for empty in (0, 1, size // 2, size - 2, size - 1):
             grid, e = random_codes(rng, n, n, size - empty)
             psi = flat_state(n, n, grid, e)
-            observed, _ = measure_second_register(psi, f, n)
             # sum k^2 per column as Python integers, over 2^e, rounded once
             squares = (grid.astype(np.int64) ** 2).sum(axis=0)
             probs = np.array([float(Fraction(int(total), 1 << e)) for total in squares])
             assert np.array_equal(second_register_distribution(psi), probs)
             support = np.flatnonzero(probs > 0.0)
-            expected = probs[support] / probs[support].sum()
-            assert np.array_equal(bits(drawn_with.pop()), bits(expected))
-            assert observed in support
+            weights = probs[support] / probs[support].sum()
+            for seed in range(n, n + 10):
+                observed, _ = measure_second_register(psi, f, seed)
+                assert observed == support[np.random.default_rng(seed).choice(support.size, p=weights)]

@@ -21,7 +21,7 @@ from simon_coherence import (
     run_stages,
 )
 from simon_coherence import states
-from simon_coherence.states import column_weights, magnitude_histogram
+from simon_coherence.states import magnitude_histogram
 from conftest import (
     circuit_states,
     flat_state,
@@ -390,15 +390,6 @@ def test_first_register_distribution_matches_one_sum_bit_for_bit():
             # the amplitudes are exact too, so summing their float squares agrees
             grid = psi.amps.reshape(1 << psi.n_first, -1)
             assert np.array_equal(probs, (grid**2).sum(axis=1))
-
-
-def test_column_weights_match_one_sum_bit_for_bit():
-    for psi in exact_distribution_states():
-        weights = column_weights(psi)
-        assert np.array_equal(weights.view(np.uint64), exact_sums(psi, 0).view(np.uint64))
-        if psi.e % 2 == 0:
-            grid = psi.amps.reshape(1 << psi.n_first, -1)
-            assert np.array_equal(weights, (grid[:, psi.columns] ** 2).sum(axis=0))
 
 
 def test_distributions_sum_to_one():
