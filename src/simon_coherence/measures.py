@@ -14,8 +14,8 @@ invariant under basis relabeling:
 ``FAMILIES`` names each kind with its parameter.  Dense-path functions take
 a density matrix and run on all of it; a zero row and column add exactly 0 to
 every measure, so ``density_of`` builds rho on a state's support only.
-``pure_state_coherence`` evaluates the same quantities from the histogram of
-a pure state's amplitude magnitudes.
+``pure_state_coherence`` evaluates the same quantities from a sign-pattern
+state's support size and exponent alone.
 """
 
 from __future__ import annotations
@@ -192,46 +192,48 @@ def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
     """Evaluate a measure from pure-state amplitudes without forming the matrix.
 
     Every measure of a pure state depends only on the multiset of amplitude
-    magnitudes, so each is a dot product of the counts c of the distinct
-    nonzero codes |k|, at magnitudes m = |k| * unit and exact probabilities
-    p = k^2 2^-e, with a function of them:
-    l1 = ((c.|k|)^2 - c.k^2) 2^-e, an integer sum and so exact,
-    skew_info = 1 - c.p^2, rel_entropy = -c.(p log2 p),
-    tsallis = (c.p^(1/alpha) - 1) / (alpha - 1) and
-    l1p = c.(m (S_p - m^p)^(1/p)) with S_p = c.m^p.  The state computes its
-    histogram once and shares it across a panel.  Agrees with the dense path
-    on |psi><psi| within TOL.cross_method.
+    magnitudes.  A ``StateVector`` is a sign pattern: its K = ``psi.support``
+    = 2^e nonzero amplitudes all have magnitude m = ``psi.unit`` and exact
+    probability p = 2^-e, so each measure is a function of K, m and p:
+    l1 = (K^2 - K) 2^-e, an integer sum and so exact,
+    skew_info = 1 - K p^2, rel_entropy = -K p log2 p,
+    tsallis = (K p^(1/alpha) - 1) / (alpha - 1) and
+    l1p = K m ((K - 1) m^p)^(1/p).  p is far above every floor, since the
+    state holds 2^e codes in memory.  Agrees with the dense path on
+    |psi><psi| within TOL.cross_method.
     """
-    codes, counts = psi.magnitude_histogram
-    mags = codes * psi.unit
-    probs = np.ldexp(codes * codes, -psi.e)
+    support, unit = psi.support, psi.unit
+    prob = math.ldexp(1.0, -psi.e)
     kind = measure.kind
     if kind == "tsallis":
         alpha = measure.param
         if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
-            return math.log(2.0) * _shannon_bits(probs, counts)
-        kept = probs > TOL.diag_power_floor
+            return math.log(2.0) * _uniform_bits(support, prob)
         # as in tsallis_coherence, a tiny order's -inf exponent gives the right root 0
         with np.errstate(over="ignore"):
-            roots = np.exp(np.log(probs[kept]) / alpha)
-        return _clamp((counts[kept] @ roots - 1.0) / (alpha - 1.0))
+            root = np.exp(np.log(prob) / alpha)
+        return _clamp((support * root - 1.0) / (alpha - 1.0))
     if kind == "l1p":
         p = measure.param
-        powered = mags**p
-        complements = np.clip(counts @ powered - powered, 0.0, None)
-        return _clamp(float(counts @ (mags * complements ** (1.0 / p))))
+        powered = np.power(unit, p)
+        # K m^p rounds to at least m^p, so the complement is never negative
+        complement = support * powered - powered
+        return _clamp(float(support * (unit * np.power(complement, 1.0 / p))))
     if kind == "rel_entropy":
-        return _clamp(_shannon_bits(probs, counts))
+        return _clamp(_uniform_bits(support, prob))
     if kind == "skew_info":
-        return _clamp(1.0 - float(counts @ probs**2))
-    total = counts @ codes
-    return _clamp(math.ldexp(total * total - counts @ (codes * codes), -psi.e))
+        return _clamp(1.0 - float(support * prob**2))
+    return _clamp(math.ldexp(support * support - support, -psi.e))
 
 
-def _shannon_bits(weights: np.ndarray, counts: np.ndarray | None = None) -> float:
-    """Shannon entropy in bits of ``weights``, each taken ``counts`` times (once
-    by default); weights at or below the eigenvalue floor contribute 0."""
+def _uniform_bits(support: int, prob: float) -> float:
+    """Shannon entropy in bits of ``support`` equal weights ``prob``."""
+    return float(-(support * (prob * np.log2(prob))))
+
+
+def _shannon_bits(weights: np.ndarray) -> float:
+    """Shannon entropy in bits of ``weights``; weights at or below the
+    eigenvalue floor contribute 0."""
     weights = np.asarray(weights, dtype=float)
     kept = weights > TOL.eigenvalue_floor
-    terms = weights[kept] * np.log2(weights[kept])
-    return float(-(terms.sum() if counts is None else counts[kept] @ terms))
+    return float(-(weights[kept] * np.log2(weights[kept])).sum())

@@ -63,8 +63,7 @@ class SimonFunction:
     s: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ORACLE_BITS:
-            raise ValueError(f"n must lie in [1, {MAX_ORACLE_BITS}], got {self.n}")
+        _require_oracle_bits(self.n)
         size = 1 << self.n
         table = np.asarray(self.table, dtype=np.int64).reshape(-1)
         object.__setattr__(self, "table", table)
@@ -79,14 +78,18 @@ class SimonFunction:
         return int(self.table[x])
 
 
+def _require_oracle_bits(n: int) -> None:
+    if not 1 <= n <= MAX_ORACLE_BITS:
+        raise ValueError(f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
+
+
 def random_two_to_one(n: int, s: int, seed) -> SimonFunction:
     """Uniform random two-to-one table with pairing mask s (nonzero).
 
     Images are drawn uniformly without replacement, so the function is
     deterministic for a fixed seed.
     """
-    if not 1 <= n <= MAX_ORACLE_BITS:
-        raise ValueError(f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
+    _require_oracle_bits(n)
     size = 1 << n
     if not 1 <= s < size:
         raise ValueError("s must be a nonzero n-bit value; use random_bijection for s = 0")
@@ -102,8 +105,7 @@ def random_two_to_one(n: int, s: int, seed) -> SimonFunction:
 
 def random_bijection(n: int, seed) -> SimonFunction:
     """Uniform random bijective table; its mask is 0 by definition."""
-    if not 1 <= n <= MAX_ORACLE_BITS:
-        raise ValueError(f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
+    _require_oracle_bits(n)
     rng = np.random.default_rng(seed)
     return SimonFunction(n, rng.permutation(1 << n), 0)
 
@@ -153,11 +155,7 @@ def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     sorted distinct targets, and every other output code is zero.  Codes are
     moved, never combined, so the exponent is kept.
     """
-    if psi.n_first != f.n or psi.n_second != f.n:
-        raise ValueError(
-            f"oracle on {f.n}+{f.n} qubits cannot act on a "
-            f"{psi.n_first}+{psi.n_second} register state"
-        )
+    _require_circuit_registers(psi, f)
     targets = psi.columns ^ f.table[:, None]
     hit = np.zeros(1 << f.n, dtype=bool)
     hit[targets] = True
@@ -167,6 +165,12 @@ def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     k = np.zeros((psi.k.shape[0], columns.size), dtype=np.int8)
     k[np.arange(k.shape[0])[:, None], slot[targets]] = psi.k
     return StateVector(psi.n_first, psi.n_second, columns, k, psi.e)
+
+
+def _require_circuit_registers(psi: StateVector, f: SimonFunction) -> None:
+    if psi.n_first != f.n or psi.n_second != f.n:
+        raise ValueError(f"the circuit of an f on {f.n} bits needs a {f.n}+{f.n} register "
+                         f"state, got {psi.n_first}+{psi.n_second}")
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
@@ -195,11 +199,7 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
     column's codes with e = log2(sum k^2), which the ``StateVector`` check
     requires to be an integer.
     """
-    if psi.n_first != f.n or psi.n_second != f.n:
-        raise ValueError(
-            f"oracle on {f.n}+{f.n} qubits does not match a "
-            f"{psi.n_first}+{psi.n_second} register state"
-        )
+    _require_circuit_registers(psi, f)
     squares = np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int32)
     j = next(born_samples(squares, np.random.default_rng(seed)))
     column = psi.k[:, j:j + 1].copy()
@@ -339,8 +339,10 @@ def _parse_header(header_line: str) -> tuple[int, int]:
         n = int(header[0][2:])
     except ValueError:
         raise FunctionTableError(1, f"invalid n in header: {header[0][2:]!r}") from None
-    if not 1 <= n <= MAX_ORACLE_BITS:
-        raise FunctionTableError(1, f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
+    try:
+        _require_oracle_bits(n)
+    except ValueError as exc:
+        raise FunctionTableError(1, str(exc)) from None
     s_bits = header[1][2:]
     if len(s_bits) != n:
         raise FunctionTableError(1, f"s must be exactly {n} bits, got {s_bits!r}")

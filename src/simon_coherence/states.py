@@ -23,7 +23,6 @@ from .tolerances import TOL
 __all__ = [
     "StateVector",
     "basis_state",
-    "magnitude_histogram",
     "hadamard_first_register",
     "density_of",
     "hermitian_eig",
@@ -43,11 +42,13 @@ class StateVector:
     ``columns`` is the sorted array of second-register values z whose column
     may hold a nonzero amplitude, made read-only here, and ``k`` the
     C-contiguous int8 ``(2^n_first, len(columns))`` array of the codes of
-    those columns, each in {0, +-1, +-2}; every amplitude outside ``columns``
-    is zero.  Both arrays are kept, not copied.  The norm is checked exactly,
-    as the integer identity sum k^2 = 2^e, from ``magnitude_histogram``; it and
-    ``amps``, built on first use, are kept with the state.  A Simon circuit
-    stage occupies one column or N/2 of them, so no layer touches the full grid.
+    those columns, each in {0, +-1}; every amplitude outside ``columns`` is
+    zero.  Both arrays are kept, not copied.  Every stage of a Simon circuit
+    is such a sign pattern: an equal-magnitude superposition over its
+    support.  The norm is checked exactly, as the integer identity
+    ``support`` = 2^e; it and ``amps``, built on first use, are kept with the
+    state.  A Simon circuit stage occupies one column or N/2 of them, so no
+    layer touches the full grid.
     """
 
     n_first: int
@@ -65,15 +66,20 @@ class StateVector:
             raise ValueError(f"codes of shape {k.shape} do not hold {self.columns.size} columns "
                              f"of {1 << self.n_first} rows contiguously")
         self.columns.flags.writeable = False
-        codes, counts = self.magnitude_histogram
-        squares = int(counts @ codes**2)
-        if self.e < 0 or squares != 1 << self.e:
-            raise ValueError(f"state not normalized: sum k^2 = {squares}, 2^e = 2^{self.e}")
+        if k.size and (k.min() < -1 or k.max() > 1):
+            raise ValueError("codes k must lie in {0, +-1}")
+        if self.e < 0 or self.support != 1 << self.e:
+            raise ValueError(f"state not normalized: sum k^2 = {self.support}, 2^e = 2^{self.e}")
+
+    @cached_property
+    def support(self) -> int:
+        """The number of nonzero codes, each of them +-1: sum k^2."""
+        return int(np.count_nonzero(self.k))
 
     @property
     def unit(self) -> float:
-        """The amplitude of code 1: 1/sqrt(2^e), exactly 2^(-e/2) for even e
-        and within one ulp of it for odd e."""
+        """The magnitude of every nonzero amplitude: 1/sqrt(2^e), exactly
+        2^(-e/2) for even e and within one ulp of it for odd e."""
         return 1.0 / math.sqrt(1 << self.e)
 
     @cached_property
@@ -82,31 +88,6 @@ class StateVector:
         grid = np.zeros((1 << self.n_first, 1 << self.n_second))
         grid[:, self.columns] = np.multiply(self.k, self.unit, dtype=np.float64)
         return grid.reshape(-1)
-
-    @cached_property
-    def magnitude_histogram(self) -> tuple[np.ndarray, np.ndarray]:
-        """``magnitude_histogram`` of the codes, computed once per state."""
-        return magnitude_histogram(self.k)
-
-
-def magnitude_histogram(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct nonzero |k| ascending, float64 count of each) of int8 codes.
-
-    Zero codes are left out.  Both arrays are float64 and read-only.  Raises
-    ValueError for a code outside {0, +-1, +-2}.
-    """
-    low, high = (int(k.min()), int(k.max())) if k.size else (0, 0)
-    if low < -2 or high > 2:
-        raise ValueError("codes k must lie in {0, +-1, +-2}")
-    # every circuit stage holds only 0 and +-1, which the extremes show
-    twos = np.count_nonzero(np.abs(k) == 2) if low < -1 or high > 1 else 0
-    counts = np.array([np.count_nonzero(k) - twos, twos], dtype=np.float64)
-    present = counts > 0.0
-    codes = np.array([1.0, 2.0])[present]
-    counts = counts[present]
-    codes.flags.writeable = False
-    counts.flags.writeable = False
-    return codes, counts
 
 
 def basis_state(n_first: int, n_second: int, index: int = 0) -> StateVector:
@@ -133,11 +114,12 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     Every butterfly value of a column is a signed sum of that column's codes,
     so its sum of |k| bounds them all: the butterflies run in the narrowest
     integer type that holds it, int8 for every layer of the circuit.  Codes
-    the transform leaves outside {0, +-1, +-2} raise ValueError before any
-    cast back to int8, so none can wrap into a valid code.
+    the transform leaves outside {0, +-1}, as it does when a column of two
+    codes stands beside a column of one, raise ValueError before any cast
+    back to int8, so none can wrap into a valid code.
     """
     dtype = np.int8
-    # a column's sum of |k| is at most its sum of k^2, so at most 2^e
+    # a column's sum of |k| is its count of codes, so at most 2^e
     if 1 << psi.e > np.iinfo(dtype).max:
         mass = int(np.add.reduce(np.abs(psi.k), axis=0, dtype=np.int32).max())
         dtype = next(t for t in (np.int8, np.int16, np.int32) if mass <= np.iinfo(t).max)
@@ -148,8 +130,8 @@ def hadamard_first_register(psi: StateVector) -> StateVector:
     if shift:
         np.right_shift(k, shift, out=k)
     if k.dtype != np.int8:
-        if k.min() < -2 or k.max() > 2:
-            raise ValueError("codes k must lie in {0, +-1, +-2}")
+        if k.min() < -1 or k.max() > 1:
+            raise ValueError("codes k must lie in {0, +-1}")
         k = k.astype(np.int8)
     return StateVector(psi.n_first, psi.n_second, psi.columns, k, psi.e + psi.n_first - 2 * shift)
 

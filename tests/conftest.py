@@ -45,26 +45,20 @@ def flat_state(n_first: int, n_second: int, k, e: int) -> StateVector:
 
 
 def random_codes(rng: np.random.Generator, n_first: int, n_second: int, filled: int | None = None):
-    """(joint code grid, e): a random sign pattern whose squares sum to 2^e.
+    """(joint code grid, e): a random sign pattern of 2^e codes +-1.
 
-    At most ``filled`` columns (all by default), drawn at random, are used,
-    each holding one code +-1, one code +-2 or two codes +-1, so the Hadamard
-    layer maps the pattern to codes in {0, +-1, +-2} again and every column's
-    sum of k^2 is a power of two.
+    A power of two of at most ``filled`` columns (all by default), drawn at
+    random, are used, each holding the same number of codes, one or two, so
+    the Hadamard layer maps the pattern to a sign pattern again.
     """
     rows, cols = 1 << n_first, 1 << n_second
     filled = cols if filled is None else filled
     grid = np.zeros((rows, cols), dtype=np.int8)
-    e = int(rng.integers(0, filled.bit_length()))
-    left = 1 << e
-    for z in rng.permutation(cols)[:filled]:
-        weight = int(rng.choice([w for w in (1, 2, 4) if w <= left and (w != 2 or rows > 1)]))
-        slots = rng.choice(rows, 2 if weight == 2 else 1, replace=False)
-        grid[slots, z] = rng.choice([-1, 1], slots.size) * (2 if weight == 4 else 1)
-        left -= weight
-        if not left:
-            return grid, e
-    raise AssertionError("unreachable: 2^e <= filled columns of weight >= 1")
+    used = 1 << int(rng.integers(0, filled.bit_length()))
+    per_column = int(rng.integers(1, min(rows, 2) + 1))
+    for z in rng.permutation(cols)[:used]:
+        grid[rng.choice(rows, per_column, replace=False), z] = rng.choice([-1, 1], per_column)
+    return grid, (used * per_column).bit_length() - 1
 
 
 def random_exact_state(rng: np.random.Generator, n_first: int, n_second: int) -> StateVector:

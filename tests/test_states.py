@@ -21,7 +21,6 @@ from simon_coherence import (
     run_stages,
 )
 from simon_coherence import states
-from simon_coherence.states import magnitude_histogram
 from conftest import (
     circuit_states,
     flat_state,
@@ -45,17 +44,26 @@ def test_state_vector_rejects_wrong_length():
 
 
 def test_state_vector_rejects_unnormalized():
-    # the norm is the integer identity sum k^2 = 2^e, with no tolerance
-    for k, e in (([1, 1], 0), ([1, 1], 2), ([1, 1, 1, 0], 1), ([1, 1, 1, 0], 2), ([2, 0], 1),
-                 ([1, 2, 0, 0], 2), ([1, 0], -1), ([0, 0], 0)):
+    # the norm is the integer identity support = 2^e, with no tolerance
+    for k, e in (([1, 1], 0), ([1, 1], 2), ([1, 1, 1, 0], 1), ([1, 1, 1, 0], 2), ([1, 1, 1, 1], 3),
+                 ([1, 0], -1), ([0, 0], 0)):
         with pytest.raises(ValueError, match="normalized"):
             flat_state(2, 0, np.pad(k, (0, 4 - len(k))), e)
     assert flat_state(2, 0, [1, 1, 1, 1], 2).amps.tolist() == [0.5] * 4
 
 
+def test_state_vector_norm_is_its_support():
+    # every nonzero code is +-1, so sum k^2 is the count of them, made once by the check
+    for k in ([1, -1, 0, 0, 1, 1, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0], [-1] * 8):
+        psi = flat_state(3, 0, k, int(np.count_nonzero(k)).bit_length() - 1)
+        assert vars(psi)["support"] == np.count_nonzero(k) == 1 << psi.e
+
+
 def test_state_vector_rejects_codes_outside_the_code_set():
-    # 4, -4 and 3 + 2 + 1 + 1 + 1 have sum k^2 = 2^4, so only the code check can fail them
-    for k, e in (([4, 0, 0, 0], 4), ([-4, 0, 0, 0], 4), ([3, 2, 1, 1, 1], 4),
+    # 2, -2, 2 + 1 + 1 + 1 + 1, 4, -4 and 3 + 2 + 1 + 1 + 1 have sum k^2 = 2^e,
+    # so only the code check can fail them
+    for k, e in (([2, 0, 0, 0], 2), ([-2, 0, 0, 0], 2), ([2, 1, 1, 1, 1], 3), ([2, 2, 2, 2], 4),
+                 ([4, 0, 0, 0], 4), ([-4, 0, 0, 0], 4), ([3, 2, 1, 1, 1], 4),
                  ([127, 0, 0, 0], 0), ([-128, 0, 0, 0], 0)):
         with pytest.raises(ValueError, match="codes"):
             flat_state(3, 0, np.pad(k, (0, 8 - len(k))), e)
@@ -114,22 +122,20 @@ def test_hadamard_preserves_norm_and_is_involution(n1, n2, seed):
 
 
 def test_hadamard_rejects_a_column_whose_butterflies_could_wrap_int8(monkeypatch):
-    # one column of 128 codes +-1 (sum of |k| 128), or of 64 codes +-2 (also 128):
-    # the butterflies run in int16, and the values they leave fail the code set
-    # before any cast to int8 could wrap them into it, so no output state is built
+    # one column of 128 codes +-1 (sum of |k| 128): the butterflies run in
+    # int16, and the values they leave fail the code set before any cast to
+    # int8 could wrap them into it, so no output state is built
     rng = np.random.default_rng(5)
     built = []
-    for code, e in ((1, 7), (2, 8)):
-        k = np.zeros((128, 2), dtype=np.int8)
-        rows = np.arange(128) if code == 1 else rng.choice(128, 64, replace=False)
-        k[rows, 1] = rng.choice([-code, code], rows.size)
-        psi = StateVector(7, 1, np.arange(2), k, e)
-        kept = k.copy()
-        with monkeypatch.context() as patched:
-            patched.setattr(states, "StateVector", lambda *args: built.append(args))
-            with pytest.raises(ValueError, match="codes"):
-                hadamard_first_register(psi)
-        assert np.array_equal(psi.k, kept)
+    k = np.zeros((128, 2), dtype=np.int8)
+    k[:, 1] = rng.choice([-1, 1], 128)
+    psi = StateVector(7, 1, np.arange(2), k, 7)
+    kept = k.copy()
+    with monkeypatch.context() as patched:
+        patched.setattr(states, "StateVector", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="codes"):
+            hadamard_first_register(psi)
+    assert np.array_equal(psi.k, kept)
     assert not built
     # a column of 2^7 or 2^15 codes +1 (int16 and int32 butterflies) is the
     # Hadamard image of |0>, and the layer maps it back there
@@ -139,13 +145,24 @@ def test_hadamard_rejects_a_column_whose_butterflies_could_wrap_int8(monkeypatch
         assert back.e == 0 and back.k.dtype == np.int8
         assert np.array_equal(np.flatnonzero(back.k), [0]) and back.k[0, 0] == 1
     # at a sum of 127 the butterflies stay in int8: their values fit (row 0 of
-    # column 0 is 63 * 2 + 1 = 127) but leave the code set
+    # column 0 is 127) but leave the code set
     k = np.zeros((128, 2), dtype=np.int8)
-    k[:63, 0] = 2
-    k[63, 0] = 1
-    k[:3, 1] = 1
+    k[:127, 0] = 1
+    k[0, 1] = 1
     with pytest.raises(ValueError, match="codes"):
-        hadamard_first_register(StateVector(7, 1, np.arange(2), k, 8))
+        hadamard_first_register(StateVector(7, 1, np.arange(2), k, 7))
+
+
+def test_hadamard_rejects_columns_of_unequal_mass():
+    # a column of two codes maps to codes 0 and +-2, and one of one code to
+    # codes +-1: no common factor 2 is left to move into e, so codes 2 remain
+    k = np.array([[1, 1, 1], [0, 0, -1], [0, 0, 0], [0, 0, 0]], dtype=np.int8)
+    psi = StateVector(2, 2, np.arange(3), k, 2)
+    with pytest.raises(ValueError, match="codes"):
+        hadamard_first_register(psi)
+    # with both columns of mass two, the factor 2 moves into e and signs remain
+    even = np.array([[1, 1], [0, -1], [1, 0], [0, 0]], dtype=np.int8)
+    assert hadamard_first_register(StateVector(2, 1, np.arange(2), even, 2)).support == 4
 
 
 # --------------------------------------------------------------------- density
@@ -195,47 +212,14 @@ def test_density_invariants_on_random_states():
         assert abs(np.vdot(rho, rho).real - 1.0) < 1e-12
 
 
-# ---------------------------------------------------------- magnitude histogram
+# ---------------------------------------------------------------- sign blocks
 
 
-def unique_histogram(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k = np.asarray(k).reshape(-1)
-    values, counts = np.unique(np.abs(k[k != 0]), return_counts=True)
-    return values.astype(np.float64), counts.astype(np.float64)
-
-
-def dense_codes(rng: np.random.Generator, rows: int, width: int, ones: int, twos: int) -> np.ndarray:
-    """A rows x width int8 block with ``ones`` codes +-1 and ``twos`` codes +-2 at random places."""
+def sign_codes(rng: np.random.Generator, rows: int, width: int, ones: int) -> np.ndarray:
+    """A rows x width int8 block with ``ones`` codes +-1 at random places."""
     k = np.zeros(rows * width, dtype=np.int8)
-    places = rng.choice(k.size, ones + twos, replace=False)
-    k[places] = rng.choice([-1, 1], places.size) * np.repeat(np.int8([1, 2]), [ones, twos])
+    k[rng.choice(k.size, ones, replace=False)] = rng.choice([-1, 1], ones)
     return k.reshape(rows, width)
-
-
-def test_magnitude_histogram_matches_unique_bit_for_bit():
-    rng = np.random.default_rng(41)
-    blocks = [
-        dense_codes(rng, 16, 8, 60, 4),
-        dense_codes(rng, 32, 16, 0, 100),
-        dense_codes(rng, 32, 16, 100, 0),
-        rng.integers(-2, 3, (64, 32)).astype(np.int8),
-        np.zeros((4, 4), dtype=np.int8),
-        np.int8([-2, 0, 1, -1]),
-    ]
-    for f in (random_two_to_one(5, 0b10110, 3), random_bijection(5, 3), random_two_to_one(8, 1, 8)):
-        blocks += [psi.k for psi in run_stages(f).values()]
-    for block in blocks:
-        kept = block.copy()
-        values, counts = magnitude_histogram(block)
-        expected_values, expected_counts = unique_histogram(block)
-        assert values.dtype == counts.dtype == np.float64
-        assert np.array_equal(values, expected_values)
-        assert np.array_equal(counts, expected_counts)
-        assert not values.flags.writeable and not counts.flags.writeable
-        assert np.array_equal(block, kept)
-    for bad in (3, -3, 127, -128):
-        with pytest.raises(ValueError, match="codes"):
-            magnitude_histogram(np.int8([0, 1, bad]))
 
 
 # ------------------------------------------------------------------------- eig
@@ -367,14 +351,13 @@ def exact_sums(psi: StateVector, axis: int) -> np.ndarray:
 
 
 def exact_distribution_states():
-    """Random exact blocks with one or two codes and one or many columns, and the
-    circuit's stages at n = 10."""
+    """Random sign blocks with one or many columns, and the circuit's stages at n = 10."""
     rng = np.random.default_rng(43)
     states = []
-    for rows, width, ones, twos in ((1024, 100, 1 << 15, 1 << 13), (2048, 3, 0, 1 << 10),
-                                     (64, 1, 32, 8), (8, 2, 16, 0), (65536, 1, 1 << 12, 0)):
-        e = (ones + 4 * twos).bit_length() - 1
-        k = dense_codes(rng, rows, width, ones, twos)
+    for rows, width, ones in ((1024, 100, 1 << 16), (2048, 3, 1 << 12), (64, 1, 64), (8, 2, 16),
+                              (65536, 1, 1 << 12)):
+        e = ones.bit_length() - 1
+        k = sign_codes(rng, rows, width, ones)
         states.append(StateVector(rows.bit_length() - 1, (width - 1).bit_length(), np.arange(width), k, e))
     for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
         states += list(run_stages(f).values())
