@@ -140,7 +140,9 @@ def _require_n(n: int | None, cap: int, what: str, flag: str = "--n") -> None:
         raise CapabilityError(f"{what} is limited to n <= {cap}, got n={n}")
 
 
-def _parse_mask(s_text: str, n: int) -> int:
+def _parse_mask(s_text: str | None, n: int) -> int | None:
+    if s_text is None:
+        return None
     if len(s_text) != n:
         raise UsageError(f"--s must be exactly {n} bits, got {s_text!r}")
     try:
@@ -149,25 +151,19 @@ def _parse_mask(s_text: str, n: int) -> int:
         raise UsageError(str(exc)) from None
 
 
-def _build_oracle(n: int, s: int, seed: int, *, trial: int | None = None) -> SimonFunction:
-    key = (1,) if trial is None else (4, trial)
-    if s == 0:
-        return random_bijection(n, _subseed(seed, *key))
-    return random_two_to_one(n, s, _subseed(seed, *key))
-
-
-def _oracle_from_flags(args, seed: int) -> SimonFunction:
-    """The oracle on ``--n`` bits with mask ``--s``, or with a nonzero mask drawn
-    from the seed when ``--s`` is omitted."""
-    if args.s is not None:
-        s = _parse_mask(args.s, args.n)
-    else:
-        s = int(np.random.default_rng(_subseed(seed, 0)).integers(1, 1 << args.n))
-    return _build_oracle(args.n, s, seed)
+def _oracle(n: int, mask: int | None, seed: int, mask_key=(0,), oracle_key=(1,)) -> SimonFunction:
+    """The oracle on ``n`` bits with hidden ``mask``, or with a nonzero mask drawn
+    under ``mask_key`` when it is None; mask 0 gives a bijection.  The table is
+    drawn under ``oracle_key``."""
+    if mask is None:
+        mask = int(np.random.default_rng(_subseed(seed, *mask_key)).integers(1, 1 << n))
+    if mask == 0:
+        return random_bijection(n, _subseed(seed, *oracle_key))
+    return random_two_to_one(n, mask, _subseed(seed, *oracle_key))
 
 
 def _load_oracle(args, seed: int) -> SimonFunction:
-    if getattr(args, "function_file", None):
+    if args.function_file is not None:
         try:
             text = Path(args.function_file).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -177,11 +173,12 @@ def _load_oracle(args, seed: int) -> SimonFunction:
             raise UsageError(f"--n {args.n} conflicts with function file header n={f.n}")
         if args.s is not None and _parse_mask(args.s, f.n) != f.s:
             raise UsageError(f"--s {args.s} conflicts with function file header")
+        _require_n(f.n, MAX_SIM_QUBITS, "state-vector simulation")
         return f
     if args.n is None:
         raise UsageError("--n is required when no --function-file is given")
     _require_n(args.n, MAX_SIM_QUBITS, "state-vector simulation")
-    return _oracle_from_flags(args, seed)
+    return _oracle(args.n, _parse_mask(args.s, args.n), seed)
 
 
 def _dense_enabled(mode: str, n: int) -> bool:
@@ -250,7 +247,6 @@ def cmd_run(args) -> int:
     seed = _resolve_seed(args.seed)
     panel, panel_config = _build_panel(args)
     f = _load_oracle(args, seed)
-    _require_n(f.n, MAX_SIM_QUBITS, "state-vector simulation")
     dense_on = _dense_enabled(args.dense, f.n)
 
     ordered, observed = _stage_sequence(f, seed)
@@ -297,7 +293,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     panel, panel_config = _build_panel(args)
     _require_n(args.n, MAX_DENSE_QUBITS, "verify, which needs the dense path,")
-    f = _oracle_from_flags(args, seed)
+    f = _oracle(args.n, _parse_mask(args.s, args.n), seed)
     if f.s == 0:
         raise UsageError("verify requires a nonzero mask; the final-stage closed forms assume one")
 
@@ -352,7 +348,7 @@ def _l1_conflict_report(seed: int) -> dict:
     evidence = []
     confirmed = L1_QUARTER_FORM
     for n_probe, mask in ((2, 0b11), (3, 0b110)):
-        f = random_two_to_one(n_probe, mask, _subseed(seed, 7, n_probe))
+        f = _oracle(n_probe, mask, seed, oracle_key=(7, n_probe))
         rho = density_of(run_stages(f)[Stage.FINAL_HADAMARD])
         dense_value = measures.l1_coherence(rho)
         candidates = closed_forms.final_stage_l1_candidates(1 << n_probe)
@@ -392,18 +388,13 @@ def cmd_recover(args) -> int:
         raise UsageError(f"--trials must be positive, got {args.trials}")
     if args.max_queries is not None and args.max_queries < 0:
         raise UsageError(f"--max-queries must not be negative, got {args.max_queries}")
-    fixed_mask = _parse_mask(args.s, args.n) if args.s is not None else None
+    mask = _parse_mask(args.s, args.n)
 
     successes = 0
     queries = []
     exhausted = 0
     for trial in range(args.trials):
-        if fixed_mask is not None:
-            mask = fixed_mask
-        else:
-            rng = np.random.default_rng(_subseed(seed, 6, trial))
-            mask = int(rng.integers(1, 1 << args.n))
-        f = _build_oracle(args.n, mask, seed, trial=trial)
+        f = _oracle(args.n, mask, seed, mask_key=(6, trial), oracle_key=(4, trial))
         report = recover(f, _subseed(seed, 5, trial), args.max_queries)
         if report.s_hat is None:
             exhausted += 1
@@ -466,7 +457,7 @@ def cmd_sweep(args) -> int:
 def cmd_gen_oracle(args) -> int:
     seed = _resolve_seed(args.seed)
     _require_n(args.n, MAX_ORACLE_BITS, "oracle generation")
-    _emit(format_function_table(_oracle_from_flags(args, seed)), args.output)
+    _emit(format_function_table(_oracle(args.n, _parse_mask(args.s, args.n), seed)), args.output)
     return EXIT_OK
 
 

@@ -210,6 +210,13 @@ def test_run_rejects_a_function_file_that_is_not_utf8(capsys, tmp_path):
     assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--n", "3", "--s", "110"]])
+def test_run_rejects_an_empty_function_file_path(capsys, flags):
+    code, out, err = run_cli(capsys, ["run", "--function-file", "", *flags])
+    assert code == EXIT_USAGE and out == ""
+    assert "cannot read" in err
+
+
 # ---------------------------------------------------------------------- verify
 
 

@@ -17,8 +17,12 @@ GOLDEN_ARGV = {
     "sweep_n8.json": ["sweep", "--n-max", "8"],
     "sweep_n8.csv": ["sweep", "--n-max", "8", "--format", "csv"],
     "recover_n6.json": ["recover", "--n", "6", "--trials", "10", "--seed", "3"],
+    "recover_n5_fixed_mask.json": ["recover", "--n", "5", "--s", "10110", "--trials", "5", "--seed", "2"],
     "gen_oracle_n4.txt": ["gen-oracle", "--n", "4", "--s", "0110", "--seed", "1"],
+    "gen_oracle_n4_bijection.txt": ["gen-oracle", "--n", "4", "--s", "0000", "--seed", "1"],
+    "gen_oracle_n5_drawn.txt": ["gen-oracle", "--n", "5", "--seed", "6"],
     "run_n4_dense_off.json": ["run", "--n", "4", "--s", "1010", "--seed", "2", "--dense", "off"],
+    "run_n4_drawn_dense_off.json": ["run", "--n", "4", "--seed", "3", "--dense", "off"],
     # Dense fixtures leave rel_entropy out: its dense value comes from the BLAS
     # eigensolver, whose last bits depend on the CPU kernel it dispatches to.
     "run_n3_dense.json": [
