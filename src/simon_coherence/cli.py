@@ -12,12 +12,18 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 capability
 error.  ``--seed`` falls back to the SIMON_COHERENCE_SEED environment
 variable, then to 0, so identical invocations produce identical bytes; a
 negative seed is a usage error.
+
+A JSON report is the bytes of ``json.dumps(report, indent=2)``, written by
+``_json`` without json's pure-Python indent encoder.  The parser is built by
+the first ``build_parser()`` call and kept for the process, so a library
+caller of ``main`` pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -25,6 +31,7 @@ import os
 import sys
 from collections import Counter
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -431,15 +438,13 @@ def cmd_sweep(args) -> int:
     for n in range(1, args.n_max + 1):
         dim = 1 << n
         verdict = closed_forms.classify_regime(dim)
-        entries = [
-            _measure_json(measure)
-            | {
-                "hadamard": float(closed_forms.hadamard_stage_coherence(dim, measure)),
-                "final": float(closed_forms.final_stage_coherence(dim, measure)),
-                "delta": float(closed_forms.coherence_delta(dim, measure)),
-            }
-            for measure in panel
-        ]
+        entries = []
+        for measure in panel:
+            # the delta is final - hadamard, the subtraction coherence_delta makes
+            hadamard = float(closed_forms.hadamard_stage_coherence(dim, measure))
+            final = float(closed_forms.final_stage_coherence(dim, measure))
+            delta = final - hadamard
+            entries.append(_measure_json(measure) | {"hadamard": hadamard, "final": final, "delta": delta})
         rows.append({"n": n, "dim": dim, "regime": verdict.regime, "entries": entries})
     doc = {
         "config": {
@@ -463,26 +468,48 @@ def cmd_gen_oracle(args) -> int:
 
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc, "\n") + "\n"
+    rows = [("field", "value")]
+    _flatten(doc, "", rows)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    for field, value in _flatten(doc):
-        writer.writerow([field, value])
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
-def _flatten(node, prefix: str = ""):
-    rows: list[tuple[str, str]] = []
+def _json(node, newline: str) -> str:
+    """``json.dumps(node, indent=2)`` byte for byte, for a node whose dict keys
+    are strings and which starts after ``newline`` (a line break and the
+    node's indent).  ``indent`` sends json to its pure-Python encoder; here
+    only the containers are walked in Python, tested in json's order, and
+    every leaf goes through json's C code or ``float.__repr__``."""
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if type(node) is float and math.isfinite(node):
+        return float.__repr__(node)
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in node]) + newline + "]"
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}" for key, value in node.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(node)
+
+
+def _flatten(node, prefix: str, rows: list[tuple[str, str]]) -> None:
+    """Append one (field, value) row per leaf of ``node`` to ``rows``."""
     if isinstance(node, dict):
         for key, value in node.items():
-            rows.extend(_flatten(value, f"{prefix}.{key}" if prefix else str(key)))
+            _flatten(value, f"{prefix}.{key}" if prefix else str(key), rows)
     elif isinstance(node, list):
         for index, value in enumerate(node):
-            rows.extend(_flatten(value, f"{prefix}[{index}]"))
+            _flatten(value, f"{prefix}[{index}]", rows)
     else:
         rows.append((prefix, _format_scalar(node)))
-    return rows
 
 
 def _format_scalar(value) -> str:
@@ -523,7 +550,12 @@ def _add_common(parser, *, n_flag=True, seed=True, panel=True, fmt=True) -> None
         parser.add_argument("--output", default=None, help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process.  Each subcommand's ``handler`` default is bound
+    to its ``cmd_*`` function when the parser is built, so replacing a
+    ``cmd_*`` afterwards does not reach ``main``."""
     parser = argparse.ArgumentParser(
         prog="simon-coherence",
         description="Stage-by-stage coherence analysis of the two-register hidden-mask circuit",

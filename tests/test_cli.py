@@ -1,10 +1,14 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simon_coherence import DEFAULT_PANEL, SKEW_INFO, Stage, closed_forms, l1p, parse_function_table
+from simon_coherence import DEFAULT_PANEL, SKEW_INFO, Stage, cli, closed_forms, l1p, parse_function_table
 from simon_coherence.cli import (
     EXIT_CAPABILITY,
     EXIT_MISMATCH,
@@ -13,6 +17,7 @@ from simon_coherence.cli import (
     SEED_ENV_VAR,
     _agreement,
     _build_panel,
+    _json,
     build_parser,
     main,
 )
@@ -495,8 +500,64 @@ def test_default_flags_build_the_default_panel():
 
 
 def test_help_exits_cleanly(capsys):
-    assert run_cli(capsys, ["--help"])[0] == EXIT_OK
-    assert run_cli(capsys, ["run", "--help"])[0] == EXIT_OK
+    for argv in (["--help"], ["run", "--help"]):
+        first = run_cli(capsys, argv)
+        assert first[0] == EXIT_OK and "simon-coherence" in first[1]
+        # the shared parser prints the same text on a later call
+        assert run_cli(capsys, argv) == first
+
+
+# ------------------------------------------------- shared parser, rendering
+
+
+def test_main_calls_build_parser_once_per_call(capsys, monkeypatch):
+    calls = []
+
+    def counting():
+        calls.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["sweep", "--n-max", "2"], ["run", "--n", "x"], ["--help"], ["gen-oracle", "--n", "2"]):
+        before = len(calls)
+        main(argv)
+        capsys.readouterr()
+        assert len(calls) == before + 1
+    assert build_parser() is build_parser()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(capsys):
+    golden = Path(__file__).parent / "golden" / "run_n4_dense_off.json"
+    build_parser.cache_clear()
+    code, out, err = run_cli(capsys, ["run", "--n", "x"])
+    assert code == EXIT_USAGE and out == "" and "invalid int value" in err
+    code, out, err = run_cli(capsys, ["run", "--n", "4", "--s", "1010", "--seed", "2", "--dense", "off"])
+    assert code == EXIT_OK and err == ""
+    assert out.encode() == golden.read_bytes()
+
+
+_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"\n\t\x00\x1f\x7f', "é ∑ 😀 \u2028"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320, np.float64(0.1), np.float64(math.nan)]),
+)
+_NODES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _NODES, max_size=5))
+def test_json_renderer_is_indented_json_dumps(doc):
+    assert _json(doc, "\n") == json.dumps(doc, indent=2)
 
 
 # --------------------------------------------------------- small orders, NaN
