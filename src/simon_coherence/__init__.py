@@ -1,10 +1,9 @@
 """Stage-by-stage coherence analysis of Simon's hidden-mask circuit.
 
 Simulates the two-register circuit (Hadamard layer, reversible oracle,
-Hadamard layer), evaluates five coherence quantifiers on every intermediate
-state by independent routes, checks the dimension-only closed forms for the
-two superposition stages, and recovers the hidden mask from measurement
-samples with GF(2) elimination.
+Hadamard layer) on integer codes, checks every stage's support against
+theory and five coherence quantifiers against a dense route up to n = 5,
+and recovers the hidden mask from samples with GF(2) elimination.
 """
 
 from . import closed_forms, measures, recovery, simon, states

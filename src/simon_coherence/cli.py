@@ -225,6 +225,8 @@ class _Check(NamedTuple):
     values: dict[str, float]
     spread: float
     ok: bool
+    support: int
+    closed_support: int
 
 
 def _agreement(values) -> tuple[float, bool]:
@@ -235,19 +237,21 @@ def _agreement(values) -> tuple[float, bool]:
 
 
 def _cross_checks(stages, f: SimonFunction, panel, dense_on: bool):
-    """One ``_Check`` per stage and panel measure: the value by every route that
-    applies, keyed by method in report order (dense, pure, closed form), with
-    the spread between them.  ``stages`` holds (stage, state) pairs; one
-    density matrix is built per stage."""
+    """One ``_Check`` per stage and panel measure: the value by every route,
+    keyed by method in report order (dense, pure, closed form at the support
+    ``closed_forms.support`` gives the stage), and the spread between them.
+    It is ok when the state has that support and the spread is below
+    TOL.cross_method.  ``stages`` holds (stage, state) pairs."""
     for stage, state in stages:
+        closed_support = closed_forms.support(stage, f.n, f.s)
+        exact = state.support == closed_support
         rho = density_of(state) if dense_on else None
         for measure in panel:
-            closed = closed_forms.stage_coherence(stage, 1 << f.n, f.s, measure)
             values = {METHOD_DENSE: measures.dense_coherence(rho, measure)} if dense_on else {}
             values[METHOD_PURE] = measures.pure_state_coherence(state, measure)
-            if closed is not None:
-                values[METHOD_CLOSED] = closed
-            yield _Check(stage, measure, values, *_agreement(values.values()))
+            values[METHOD_CLOSED] = measures.uniform_superposition_coherence(closed_support, measure)
+            spread, ok = _agreement(values.values())
+            yield _Check(stage, measure, values, spread, ok and exact, state.support, closed_support)
 
 
 def cmd_run(args) -> int:
@@ -264,6 +268,8 @@ def cmd_run(args) -> int:
         entry = {"stage": stage.value}
         if stage is Stage.POST_MEASURE:
             entry["observed"] = int_to_bits(observed, f.n)
+        entry["support"] = group[0].support
+        entry["closed_form_support"] = group[0].closed_support
         entry["max_discrepancy"] = max(check.spread for check in group)
         entry["values"] = [
             _measure_json(check.measure) | {"method": method, "value": value}
@@ -481,7 +487,8 @@ def _json(node, newline: str) -> str:
     are strings and which starts after ``newline`` (a line break and the
     node's indent).  ``indent`` sends json to its pure-Python encoder; here
     only the containers are walked in Python, tested in json's order, and
-    every leaf goes through json's C code or ``float.__repr__``."""
+    every leaf goes through json's C code, ``float.__repr__`` or
+    ``int.__repr__``, or is one of the literals true, false and null."""
     if isinstance(node, str):
         return encode_basestring_ascii(node)
     if type(node) is float and math.isfinite(node):
@@ -497,6 +504,10 @@ def _json(node, newline: str) -> str:
         inner = newline + "  "
         items = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}" for key, value in node.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if type(node) is int:
+        return int.__repr__(node)
+    if node is None or type(node) is bool:
+        return "null" if node is None else "true" if node else "false"
     return json.dumps(node)
 
 

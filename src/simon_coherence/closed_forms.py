@@ -1,16 +1,22 @@
-"""Dimension-only coherence formulas for the circuit's two superposition stages.
+"""Dimension-only coherence of every stage of Simon's circuit.
 
-After the first Hadamard layer the state is an equal-magnitude superposition
-over N = 2^n basis states; after the oracle and second Hadamard layer it is
-one over N^2/4 (for a nonzero pairing mask).  Every panel measure of an
-equal-magnitude superposition over K states has one closed form in K,
-``uniform_superposition_coherence``, so each stage's closed form is that
-value at the stage's support: N, then N^2/4.  Nothing here builds a state,
-which keeps dimensions up to 2^20 cheap.
+Every stage is an equal-magnitude superposition over its support, so each
+measure at a stage is ``measures.uniform_superposition_coherence``, imported
+here, at that stage's support size.  ``support(stage, n, s)`` is the integer
+table of those sizes for N = 2^n and mask s:
 
-The change ``final - hadamard`` is positive for every panel measure when
-N > 4, zero at N = 4, and negative when N < 4, so the second half of the
-circuit produces coherence exactly when n >= 3.
+    stage           s != 0    s = 0
+    initial         1         1
+    hadamard        N         N
+    oracle          N         N
+    post_measure    N/2       N
+    final_hadamard  N^2/4     N^2
+
+Nothing here builds a state, which keeps dimensions up to 2^20 cheap.
+
+The change ``final - hadamard`` for a nonzero mask is positive for every
+panel measure when N > 4, zero at N = 4, and negative when N < 4, so the
+second half of the circuit produces coherence exactly when n >= 3.
 
 The l1 value at the final stage has two candidate algebraic forms,
 N^2/4 - 1 and N^2/2 - 1; see ``final_stage_l1_candidates``.  Dense
@@ -20,23 +26,21 @@ that is the form used everywhere in this module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .measures import DEFAULT_PANEL, L1, CoherenceMeasure
+from .measures import DEFAULT_PANEL, L1, CoherenceMeasure, uniform_superposition_coherence
 from .simon import Stage
-from .tolerances import MAX_CLOSED_FORM_BITS, TOL
+from .tolerances import MAX_CLOSED_FORM_BITS
 
 __all__ = [
     "REGIME_PRODUCTION",
     "REGIME_NEUTRAL",
     "REGIME_DEPLETION",
     "RegimeVerdict",
-    "uniform_superposition_coherence",
+    "support",
     "hadamard_stage_coherence",
     "final_stage_coherence",
     "final_stage_l1_candidates",
-    "stage_coherence",
     "coherence_delta",
     "classify_regime",
 ]
@@ -61,24 +65,19 @@ def _require_dim(dim: int) -> None:
         raise ValueError(f"dimension exceeds 2^{MAX_CLOSED_FORM_BITS}: {dim}")
 
 
-def uniform_superposition_coherence(support: int, measure: CoherenceMeasure) -> float:
-    """Coherence of an equal-magnitude superposition over ``support`` basis states."""
-    if support < 1:
-        raise ValueError(f"support must be positive, got {support}")
-    m = float(support)
-    kind = measure.kind
-    if kind == "tsallis":
-        alpha = measure.param
-        if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
-            return math.log(m)
-        return (m ** (1.0 - 1.0 / alpha) - 1.0) / (alpha - 1.0)
-    if kind == "l1p":
-        return (m - 1.0) ** (1.0 / measure.param)
-    if kind == "rel_entropy":
-        return math.log2(m)
-    if kind == "skew_info":
-        return 1.0 - 1.0 / m
-    return m - 1.0
+def support(stage: Stage, n: int, s: int) -> int:
+    """The support size at ``stage`` for n-bit registers and mask ``s``: the
+    oracle leaves N/2 columns of a pair {x, x ^ s} (N of one x for s = 0), and
+    a Hadamard layer spreads a pair over N/2 values of y and one x over N."""
+    dim = 1 << n
+    _require_dim(dim)
+    if stage is Stage.INITIAL:
+        return 1
+    if stage is Stage.POST_MEASURE:
+        return dim // 2 if s else dim
+    if stage is Stage.FINAL_HADAMARD:
+        return dim * dim // 4 if s else dim * dim
+    return dim
 
 
 def hadamard_stage_coherence(dim: int, measure: CoherenceMeasure) -> float:
@@ -105,20 +104,6 @@ def final_stage_l1_candidates(dim: int) -> dict[str, float]:
     quarter = final_stage_coherence(dim, L1)
     n = float(dim)
     return {"quarter_form": quarter, "half_form": n * n / 2.0 - 1.0}
-
-
-def stage_coherence(stage: Stage, dim: int, s: int, measure: CoherenceMeasure) -> float | None:
-    """Closed form at a circuit stage for mask ``s``, or None where the stage has none.
-
-    The oracle stage shares the hadamard-stage value: a basis permutation
-    cannot change any coherence in the panel.  The final stage has a closed
-    form only for a nonzero mask.
-    """
-    if stage in (Stage.HADAMARD, Stage.ORACLE):
-        return hadamard_stage_coherence(dim, measure)
-    if stage == Stage.FINAL_HADAMARD and s != 0:
-        return final_stage_coherence(dim, measure)
-    return None
 
 
 def coherence_delta(dim: int, measure: CoherenceMeasure) -> float:

@@ -14,8 +14,8 @@ invariant under basis relabeling:
 ``FAMILIES`` names each kind with its parameter.  Dense-path functions take
 a density matrix and run on all of it; a zero row and column add exactly 0 to
 every measure, so ``density_of`` builds rho on a state's support only.
-``pure_state_coherence`` evaluates the same quantities from a sign-pattern
-state's support size and exponent alone.
+``uniform_superposition_coherence`` defines every measure on an
+equal-magnitude superposition, as a function of its support size alone.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "skew_information_coherence",
     "l1_coherence",
     "dense_coherence",
+    "uniform_superposition_coherence",
     "pure_state_coherence",
 ]
 
@@ -188,47 +189,35 @@ def dense_coherence(rho: np.ndarray, measure: CoherenceMeasure) -> float:
     return l1_coherence(rho)
 
 
-def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
-    """Evaluate a measure from pure-state amplitudes without forming the matrix.
-
-    Every measure of a pure state depends only on the multiset of amplitude
-    magnitudes.  A ``StateVector`` is a sign pattern: its K = ``psi.support``
-    = 2^e nonzero amplitudes all have magnitude m = ``psi.unit`` and exact
-    probability p = 2^-e, so each measure is a function of K, m and p:
-    l1 = (K^2 - K) 2^-e, an integer sum and so exact,
-    skew_info = 1 - K p^2, rel_entropy = -K p log2 p,
-    tsallis = (K p^(1/alpha) - 1) / (alpha - 1) and
-    l1p = K m ((K - 1) m^p)^(1/p).  p is far above every floor, since the
-    state holds 2^e codes in memory.  Agrees with the dense path on
-    |psi><psi| within TOL.cross_method.
-    """
-    support, unit = psi.support, psi.unit
-    prob = math.ldexp(1.0, -psi.e)
+def uniform_superposition_coherence(support: int, measure: CoherenceMeasure) -> float:
+    """Coherence of an equal-magnitude superposition over ``support`` = K
+    basis states, whose density matrix has every entry 1/K and eigenvalue 1:
+    tsallis = (K^(1 - 1/alpha) - 1) / (alpha - 1), or ln K within
+    TOL.tsallis_limit_window of alpha = 1; l1p = (K - 1)^(1/p);
+    rel_entropy = log2 K; skew_info = 1 - 1/K; l1 = K - 1."""
+    if support < 1:
+        raise ValueError(f"support must be positive, got {support}")
+    m = float(support)
     kind = measure.kind
     if kind == "tsallis":
         alpha = measure.param
         if abs(alpha - 1.0) <= TOL.tsallis_limit_window:
-            return math.log(2.0) * _uniform_bits(support, prob)
-        # as in tsallis_coherence, a tiny order's -inf exponent gives the right root 0
-        with np.errstate(over="ignore"):
-            root = np.exp(np.log(prob) / alpha)
-        return _clamp((support * root - 1.0) / (alpha - 1.0))
+            return math.log(m)
+        # at K = 1 an order below 1 divides 0 by a negative number: -0.0, which _clamp makes 0.0
+        return _clamp((m ** (1.0 - 1.0 / alpha) - 1.0) / (alpha - 1.0))
     if kind == "l1p":
-        p = measure.param
-        powered = np.power(unit, p)
-        # K m^p rounds to at least m^p, so the complement is never negative
-        complement = support * powered - powered
-        return _clamp(float(support * (unit * np.power(complement, 1.0 / p))))
+        return (m - 1.0) ** (1.0 / measure.param)
     if kind == "rel_entropy":
-        return _clamp(_uniform_bits(support, prob))
+        return math.log2(m)
     if kind == "skew_info":
-        return _clamp(1.0 - float(support * prob**2))
-    return _clamp(math.ldexp(support * support - support, -psi.e))
+        return 1.0 - 1.0 / m
+    return m - 1.0
 
 
-def _uniform_bits(support: int, prob: float) -> float:
-    """Shannon entropy in bits of ``support`` equal weights ``prob``."""
-    return float(-(support * (prob * np.log2(prob))))
+def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
+    """A measure of a sign-pattern state, whose ``psi.support`` nonzero
+    amplitudes share one magnitude: the uniform formula at that count."""
+    return uniform_superposition_coherence(psi.support, measure)
 
 
 def _shannon_bits(weights: np.ndarray) -> float:

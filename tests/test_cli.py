@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simon_coherence import DEFAULT_PANEL, SKEW_INFO, Stage, cli, closed_forms, l1p, parse_function_table
+from simon_coherence import (
+    DEFAULT_PANEL,
+    SKEW_INFO,
+    Stage,
+    StateVector,
+    cli,
+    closed_forms,
+    measure_second_register,
+    parse_function_table,
+)
 from simon_coherence.cli import (
     EXIT_CAPABILITY,
     EXIT_MISMATCH,
@@ -25,15 +34,15 @@ from simon_coherence.cli import (
 STAGE_ORDER = ["initial", "hadamard", "oracle", "final_hadamard", "post_measure"]
 
 
-def perturb_closed_form(monkeypatch, stage, target):
-    """Move the closed form of one stage and measure by 1e-6, far beyond TOL.cross_method."""
-    exact = closed_forms.stage_coherence
+def perturb_support(monkeypatch, stage):
+    """Double the support ``closed_forms.support`` gives one stage, so its
+    closed form no longer describes the simulated state there."""
+    exact = closed_forms.support
 
-    def perturbed(at, dim, s, measure):
-        value = exact(at, dim, s, measure)
-        return value + 1e-6 if at is stage and measure == target else value
+    def perturbed(at, n, s):
+        return 2 * exact(at, n, s) if at is stage else exact(at, n, s)
 
-    monkeypatch.setattr(closed_forms, "stage_coherence", perturbed)
+    monkeypatch.setattr(closed_forms, "support", perturbed)
 
 
 def run_cli(capsys, argv):
@@ -136,25 +145,102 @@ def test_negative_seed_is_a_usage_error(capsys, monkeypatch, command):
 
 
 def test_run_flags_the_one_check_whose_routes_disagree(capsys, monkeypatch):
-    perturb_closed_form(monkeypatch, Stage.FINAL_HADAMARD, SKEW_INFO)
+    perturb_support(monkeypatch, Stage.FINAL_HADAMARD)
     for dense in ("on", "off"):
-        code, doc = run_json(capsys, ["run", "--n", "3", "--s", "110", "--seed", "2", "--dense", dense])
+        code, doc = run_json(capsys, ["run", "--n", "3", "--s", "110", "--seed", "2", "--dense", dense,
+                                      "--measures", "skew_info"])
         assert code == EXIT_MISMATCH
         flagged = [(row["stage"], row["measure"]) for row in doc["discrepancies"] if row["flagged"]]
         assert flagged == [("final_hadamard", "skew_info")]
         for name in STAGE_ORDER:
-            spread = stage_entry(doc, name)["max_discrepancy"]
-            assert (spread >= 1e-9) == (name == "final_hadamard")
+            entry = stage_entry(doc, name)
+            assert (entry["max_discrepancy"] >= 1e-9) == (name == "final_hadamard")
+            assert (entry["closed_form_support"] != entry["support"]) == (name == "final_hadamard")
+        final = stage_entry(doc, "final_hadamard")
+        assert (final["support"], final["closed_form_support"]) == (16, 32)
 
 
-def test_run_bijection_has_no_regime_or_final_closed_form(capsys):
+def test_run_flags_a_wrong_support_that_no_value_shows(capsys, monkeypatch):
+    # at order 0.001 the formula is 1 / (1 - alpha) to the last bit for every
+    # support from 2 up, so only the integer comparison can see the oracle stage
+    perturb_support(monkeypatch, Stage.ORACLE)
+    code, doc = run_json(capsys, ["run", "--n", "3", "--seed", "5", "--measures", "tsallis", "--alphas", "0.001"])
+    assert code == EXIT_MISMATCH
+    assert [row["stage"] for row in doc["discrepancies"] if row["flagged"]] == ["oracle"]
+    oracle = stage_entry(doc, "oracle")
+    assert oracle["max_discrepancy"] == 0.0
+    assert (oracle["support"], oracle["closed_form_support"]) == (8, 16)
+
+
+def test_run_bijection_has_a_final_closed_form_but_no_regime(capsys):
     code, doc = run_json(capsys, ["run", "--n", "2", "--s", "00", "--seed", "3"])
     assert code == EXIT_OK
     assert doc["regime"] is None
+    # a bijection's final stage is uniform over all N^2 joint basis states
     final = stage_entry(doc, "final_hadamard")
-    assert all(row["method"] != "closed_form" for row in final["values"])
+    assert final["support"] == final["closed_form_support"] == 16
+    assert value_of(final, "l1p", "closed_form", p=1.0) == 15.0
+    assert value_of(final, "rel_entropy", "closed_form") == 4.0
     # the hadamard stage closed form does not depend on the mask
     assert value_of(stage_entry(doc, "hadamard"), "rel_entropy", "closed_form") == 2.0
+
+
+def keep_two_columns(psi, f, seed):
+    """A collapse that keeps the observed column and the one beside it."""
+    observed, collapsed = measure_second_register(psi, f, seed)
+    j = int(np.searchsorted(psi.columns, observed))
+    pair = slice(j - 1, j + 1) if j else slice(0, 2)
+    codes = psi.k[:, pair].copy()
+    return observed, StateVector(psi.n_first, psi.n_second, psi.columns[pair], codes, collapsed.e + 1)
+
+
+@pytest.mark.parametrize("argv", [["--n", "3", "--dense", "on"], ["--n", "5"], ["--n", "8"]])
+def test_run_flags_a_collapse_that_keeps_two_columns(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "measure_second_register", keep_two_columns)
+    code, doc = run_json(capsys, ["run", *argv, "--seed", "1"])
+    assert code == EXIT_MISMATCH
+    assert {row["stage"] for row in doc["discrepancies"] if row["flagged"]} == {"post_measure"}
+    post = stage_entry(doc, "post_measure")
+    assert post["support"] == 2 * post["closed_form_support"]
+
+
+@pytest.mark.parametrize("dense", ["auto", "off"])
+@pytest.mark.parametrize("mask", ["drawn", "bijection"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_run_checks_every_stage_by_two_routes(capsys, n, mask, dense):
+    argv = ["run", "--n", str(n), "--seed", "1", "--dense", dense]
+    if mask == "bijection":
+        argv += ["--s", "0" * n]
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert [entry["stage"] for entry in doc["stages"]] == STAGE_ORDER
+    for entry in doc["stages"]:
+        assert entry["support"] == entry["closed_form_support"]
+        routes = {}
+        for row in entry["values"]:
+            routes.setdefault((row["measure"], tuple(row["params"].items())), {})[row["method"]] = row["value"]
+        for methods in routes.values():
+            assert len(methods) >= 2
+            assert methods["pure_fast"] == methods["closed_form"]
+
+
+def negative_zeros(node):
+    """Every -0.0 among the leaves of a parsed report."""
+    if isinstance(node, dict):
+        return [z for value in node.values() for z in negative_zeros(value)]
+    if isinstance(node, list):
+        return [z for value in node for z in negative_zeros(value)]
+    return [node] if isinstance(node, float) and node == 0.0 and math.copysign(1.0, node) < 0 else []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_no_report_holds_a_negative_zero(capsys, n):
+    panel = ["--alphas", "0.001,0.5,2.0"]
+    for command in (["run", "--n", str(n), "--seed", "1"], ["run", "--n", str(n), "--s", "0" * n, "--seed", "1"],
+                    ["verify", "--n", str(n), "--seed", "1"], ["sweep", "--n-max", str(n)]):
+        code, doc = run_json(capsys, command + panel)
+        assert code == EXIT_OK
+        assert negative_zeros(doc) == [], command
 
 
 def test_run_beyond_dense_limit_drops_dense_route(capsys):
@@ -265,8 +351,8 @@ def test_verify_deltas_are_differences_of_the_checked_dense_values(capsys):
 
 
 def test_verify_fails_when_one_stage_check_disagrees(capsys, monkeypatch):
-    perturb_closed_form(monkeypatch, Stage.ORACLE, l1p(2.0))
-    code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5"])
+    perturb_support(monkeypatch, Stage.ORACLE)
+    code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5", "--measures", "l1p", "--ps", "2.0"])
     assert code == EXIT_MISMATCH
     assert doc["ok"] is False
     failed = [(row["stage"], row["measure"], row["params"]) for row in doc["checks"] if not row["ok"]]

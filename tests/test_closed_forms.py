@@ -19,7 +19,7 @@ from simon_coherence import (
     hadamard_stage_coherence,
     l1p,
     run_stages,
-    stage_coherence,
+    support,
     tsallis,
     uniform_superposition_coherence,
 )
@@ -113,18 +113,31 @@ def test_dense_simulation_agrees_with_closed_forms(f_three_qubit):
         assert abs(got_f - want_f) < 1e-9, measure.label()
 
 
-def test_stage_coherence_picks_the_form_of_each_stage():
+def test_support_table_gives_each_stage_its_closed_form():
+    n, dim = 3, 8
+    # stage: (support for a nonzero mask, support for a bijection)
+    table = {
+        Stage.INITIAL: (1, 1),
+        Stage.HADAMARD: (dim, dim),
+        Stage.ORACLE: (dim, dim),
+        Stage.POST_MEASURE: (dim // 2, dim),
+        Stage.FINAL_HADAMARD: (dim * dim // 4, dim * dim),
+    }
+    for stage, (paired, bijective) in table.items():
+        assert support(stage, n, 0b110) == paired, stage
+        assert support(stage, n, 0) == bijective, stage
     for measure in SPOT_CHECK_MEASURES:
-        hadamard = hadamard_stage_coherence(8, measure)
-        assert stage_coherence(Stage.HADAMARD, 8, 0b110, measure) == hadamard
-        assert stage_coherence(Stage.ORACLE, 8, 0b110, measure) == hadamard
-        assert stage_coherence(Stage.ORACLE, 8, 0, measure) == hadamard
-        assert stage_coherence(Stage.FINAL_HADAMARD, 8, 0b110, measure) == final_stage_coherence(
-            8, measure
-        )
-        assert stage_coherence(Stage.FINAL_HADAMARD, 8, 0, measure) is None
-        assert stage_coherence(Stage.INITIAL, 8, 0b110, measure) is None
-        assert stage_coherence(Stage.POST_MEASURE, 8, 0b110, measure) is None
+        at = {stage: uniform_superposition_coherence(support(stage, n, 0b110), measure) for stage in table}
+        assert at[Stage.INITIAL] == 0.0
+        assert at[Stage.HADAMARD] == at[Stage.ORACLE] == hadamard_stage_coherence(dim, measure)
+        assert at[Stage.FINAL_HADAMARD] == final_stage_coherence(dim, measure)
+        assert at[Stage.POST_MEASURE] == hadamard_stage_coherence(dim // 2, measure)
+
+
+@pytest.mark.parametrize("n", [0, MAX_CLOSED_FORM_BITS + 1])
+def test_support_table_rejects_bad_register_sizes(n):
+    with pytest.raises(ValueError):
+        support(Stage.HADAMARD, n, 0)
 
 
 # ------------------------------------------------------------ l1 candidates
