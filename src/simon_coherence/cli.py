@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
             | {"discrepancy": spread, "ok": ok}
         )
 
-    conflict = _l1_conflict_report(seed)
+    conflict = _l1_verdict(f.n, stages[Stage.FINAL_HADAMARD])
     all_ok = (
         all(check.ok for check in checks)
         and all(row["ok"] for row in deltas)
@@ -345,6 +345,7 @@ def cmd_verify(args) -> int:
         "checks": [
             {"stage": check.stage.value}
             | _measure_json(check.measure)
+            | {"support": check.support, "closed_form_support": check.closed_support}
             | {"values": check.values, "discrepancy": check.spread, "ok": check.ok}
             for check in checks
         ],
@@ -356,39 +357,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _l1_conflict_report(seed: int) -> dict:
-    """Resolve the two candidate final-stage l1 closed forms by dense evaluation."""
-    evidence = []
-    confirmed = L1_QUARTER_FORM
-    for n_probe, mask in ((2, 0b11), (3, 0b110)):
-        f = _oracle(n_probe, mask, seed, oracle_key=(7, n_probe))
-        rho = density_of(run_stages(f)[Stage.FINAL_HADAMARD])
-        dense_value = measures.l1_coherence(rho)
-        candidates = closed_forms.final_stage_l1_candidates(1 << n_probe)
-        _, quarter_ok = _agreement((dense_value, candidates["quarter_form"]))
-        _, half_ok = _agreement((dense_value, candidates["half_form"]))
-        matches = L1_QUARTER_FORM if quarter_ok else (L1_HALF_FORM if half_ok else "neither")
-        if matches != L1_QUARTER_FORM:
-            confirmed = matches
-        evidence.append(
-            {
-                "n": n_probe,
-                "dense_l1": float(dense_value),
-                "quarter_form": float(candidates["quarter_form"]),
-                "half_form": float(candidates["half_form"]),
-                "matches": matches,
-            }
-        )
+def _l1_verdict(n: int, final) -> dict:
+    """Which candidate final-stage l1 closed form the dense l1 of the run's own
+    final stage ``final`` agrees with, and the forms it rules out."""
+    dense_value = float(measures.l1_coherence(density_of(final)))
+    candidates = closed_forms.final_stage_l1_candidates(1 << n)
+    forms = {L1_QUARTER_FORM: candidates["quarter_form"], L1_HALF_FORM: candidates["half_form"]}
+    missed = [form for form, value in forms.items() if not _agreement((dense_value, value))[1]]
+    confirmed = next((form for form in forms if form not in missed), "neither")
     note = (
         "final-stage l1 closed form has two published candidates, "
-        f"{L1_QUARTER_FORM} and {L1_HALF_FORM}; dense evaluation gives "
-        f"{evidence[0]['dense_l1']:g} at n=2 and {evidence[1]['dense_l1']:g} at n=3, "
-        f"confirming {confirmed} and ruling out "
-        f"{L1_HALF_FORM if confirmed == L1_QUARTER_FORM else L1_QUARTER_FORM}"
+        f"{L1_QUARTER_FORM} and {L1_HALF_FORM}; dense evaluation gives {dense_value:g} at n={n}, "
+        f"confirming {confirmed} and ruling out {' and '.join(missed)}"
     )
     return {
         "candidates": {"quarter_form": L1_QUARTER_FORM, "half_form": L1_HALF_FORM},
-        "evidence": evidence,
+        "evidence": [
+            {
+                "n": n,
+                "dense_l1": dense_value,
+                "quarter_form": float(candidates["quarter_form"]),
+                "half_form": float(candidates["half_form"]),
+                "matches": confirmed,
+            }
+        ],
         "confirmed": confirmed,
         "note": note,
     }

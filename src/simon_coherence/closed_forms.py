@@ -97,9 +97,10 @@ def final_stage_l1_candidates(dim: int) -> dict[str, float]:
     """Both published candidates for the final-stage l1 value.
 
     ``quarter_form`` is dim^2/4 - 1, the p = 1 specialization of the matrix
-    norm; ``half_form`` is dim^2/2 - 1, an alternate statement.  They cannot
-    both be right: dense simulation (n = 2 gives 3, n = 3 gives 15) confirms
-    the quarter form.
+    norm; ``half_form`` is dim^2/2 - 1, an alternate statement.  They differ
+    by dim^2/4 >= 1, so they cannot both be right: ``verify`` compares both
+    with the dense l1 of the final stage it simulates, which confirms the
+    quarter form at every n from 1 to 5 (n = 1 gives 0, n = 3 gives 15).
     """
     quarter = final_stage_coherence(dim, L1)
     n = float(dim)

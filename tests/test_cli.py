@@ -15,6 +15,7 @@ from simon_coherence import (
     StateVector,
     cli,
     closed_forms,
+    measures,
     measure_second_register,
     parse_function_table,
 )
@@ -320,11 +321,51 @@ def test_verify_passes_and_resolves_l1_conflict(capsys):
 
     conflict = doc["l1_conflict"]
     assert conflict["confirmed"] == "N^2/4-1"
-    assert [row["dense_l1"] for row in conflict["evidence"]] == pytest.approx(
-        [3.0, 15.0], abs=1e-9
-    )
+    assert conflict["evidence"] == [
+        {"n": 3, "dense_l1": 15.0, "quarter_form": 15.0, "half_form": 31.0, "matches": "N^2/4-1"}
+    ]
     assert "N^2/4-1" in conflict["note"] and "N^2/2-1" in conflict["note"]
     assert "confirming N^2/4-1" in conflict["note"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_decides_l1_from_its_own_final_stage(capsys, n):
+    for seed in range(3):
+        code, doc = run_json(capsys, ["verify", "--n", str(n), "--seed", str(seed), "--measures", "skew_info"])
+        assert code == EXIT_OK
+        conflict = doc["l1_conflict"]
+        assert len(conflict["evidence"]) == 1
+        (row,) = conflict["evidence"]
+        assert row["n"] == n
+        assert row["dense_l1"] == row["quarter_form"] == (1 << n) ** 2 / 4 - 1
+        assert row["matches"] == conflict["confirmed"] == "N^2/4-1"
+
+
+def test_verify_simulates_one_circuit(capsys, monkeypatch):
+    calls = []
+    run_stages = cli.run_stages
+
+    def counted(f):
+        calls.append(f.n)
+        return run_stages(f)
+
+    monkeypatch.setattr(cli, "run_stages", counted)
+    for n in (1, 3, 5):
+        code, _ = run_json(capsys, ["verify", "--n", str(n), "--seed", "4"])
+        assert code == EXIT_OK
+    assert calls == [1, 3, 5]
+
+
+def test_verify_note_rules_out_every_form_the_dense_l1_misses(capsys, monkeypatch):
+    exact = measures.l1_coherence
+    monkeypatch.setattr(measures, "l1_coherence", lambda rho: exact(rho) + 1.0)
+    code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5", "--measures", "skew_info"])
+    assert code == EXIT_MISMATCH
+    assert doc["ok"] is False
+    assert all(row["ok"] for row in doc["checks"]) and all(row["ok"] for row in doc["deltas"])
+    conflict = doc["l1_conflict"]
+    assert conflict["confirmed"] == conflict["evidence"][0]["matches"] == "neither"
+    assert conflict["note"].endswith("confirming neither and ruling out N^2/4-1 and N^2/2-1")
 
 
 def test_verify_emits_conflict_note_for_every_panel(capsys):
@@ -359,6 +400,18 @@ def test_verify_fails_when_one_stage_check_disagrees(capsys, monkeypatch):
     assert failed == [("oracle", "l1p", {"p": 2.0})]
     # the oracle stage feeds no delta, so every delta still agrees
     assert all(row["ok"] for row in doc["deltas"])
+
+
+def test_verify_rows_show_a_wrong_support_that_no_value_shows(capsys, monkeypatch):
+    # the verify twin of test_run_flags_a_wrong_support_that_no_value_shows
+    perturb_support(monkeypatch, Stage.ORACLE)
+    code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5", "--measures", "tsallis", "--alphas", "0.001"])
+    assert code == EXIT_MISMATCH
+    (failed,) = [row for row in doc["checks"] if not row["ok"]]
+    assert failed["stage"] == "oracle"
+    assert failed["discrepancy"] == 0.0
+    assert (failed["support"], failed["closed_form_support"]) == (8, 16)
+    assert list(failed)[3:6] == ["support", "closed_form_support", "values"]
 
 
 def test_verify_fails_when_a_closed_form_delta_disagrees(capsys, monkeypatch):
