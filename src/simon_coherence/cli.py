@@ -55,7 +55,7 @@ from .simon import (
     run_stages,
 )
 from .states import density_of, hadamard_first_register
-from .tolerances import MAX_CLOSED_FORM_BITS, MAX_DENSE_QUBITS, MAX_ORACLE_BITS, MAX_SIM_QUBITS, TOL
+from .tolerances import MAX_CLOSED_FORM_BITS, MAX_DENSE_QUBITS, MAX_ORACLE_BITS, TOL
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -180,11 +180,10 @@ def _load_oracle(args, seed: int) -> SimonFunction:
             raise UsageError(f"--n {args.n} conflicts with function file header n={f.n}")
         if args.s is not None and _parse_mask(args.s, f.n) != f.s:
             raise UsageError(f"--s {args.s} conflicts with function file header")
-        _require_n(f.n, MAX_SIM_QUBITS, "state-vector simulation")
         return f
     if args.n is None:
         raise UsageError("--n is required when no --function-file is given")
-    _require_n(args.n, MAX_SIM_QUBITS, "state-vector simulation")
+    _require_n(args.n, MAX_ORACLE_BITS, "circuit simulation")
     return _oracle(args.n, _parse_mask(args.s, args.n), seed)
 
 
@@ -236,22 +235,23 @@ def _agreement(values) -> tuple[float, bool]:
     return spread, spread < TOL.cross_method
 
 
-def _cross_checks(stages, f: SimonFunction, panel, dense_on: bool):
-    """One ``_Check`` per stage and panel measure: the value by every route,
-    keyed by method in report order (dense, pure, closed form at the support
+def _cross_checks(stage: Stage, state, f: SimonFunction, panel, rho) -> list[_Check]:
+    """One ``_Check`` per panel measure at ``stage``: the value by every route,
+    keyed by method in report order (dense on the density matrix ``rho``
+    unless it is None, pure, closed form at the support
     ``closed_forms.support`` gives the stage), and the spread between them.
     It is ok when the state has that support and the spread is below
-    TOL.cross_method.  ``stages`` holds (stage, state) pairs."""
-    for stage, state in stages:
-        closed_support = closed_forms.support(stage, f.n, f.s)
-        exact = state.support == closed_support
-        rho = density_of(state) if dense_on else None
-        for measure in panel:
-            values = {METHOD_DENSE: measures.dense_coherence(rho, measure)} if dense_on else {}
-            values[METHOD_PURE] = measures.pure_state_coherence(state, measure)
-            values[METHOD_CLOSED] = measures.uniform_superposition_coherence(closed_support, measure)
-            spread, ok = _agreement(values.values())
-            yield _Check(stage, measure, values, spread, ok and exact, state.support, closed_support)
+    TOL.cross_method."""
+    closed_support = closed_forms.support(stage, f.n, f.s)
+    exact = state.support == closed_support
+    checks = []
+    for measure in panel:
+        values = {} if rho is None else {METHOD_DENSE: measures.dense_coherence(rho, measure)}
+        values[METHOD_PURE] = measures.pure_state_coherence(state, measure)
+        values[METHOD_CLOSED] = measures.uniform_superposition_coherence(closed_support, measure)
+        spread, ok = _agreement(values.values())
+        checks.append(_Check(stage, measure, values, spread, ok and exact, state.support, closed_support))
+    return checks
 
 
 def cmd_run(args) -> int:
@@ -261,7 +261,8 @@ def cmd_run(args) -> int:
     dense_on = _dense_enabled(args.dense, f.n)
 
     ordered, observed = _stage_sequence(f, seed)
-    checks = list(_cross_checks(ordered, f, panel, dense_on))
+    checks = [check for stage, state in ordered
+              for check in _cross_checks(stage, state, f, panel, density_of(state) if dense_on else None)]
     stage_entries = []
     for stage, group in groupby(checks, key=attrgetter("stage")):
         group = list(group)
@@ -312,7 +313,10 @@ def cmd_verify(args) -> int:
 
     stages = run_stages(f)
     verified = (Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD)
-    checks = list(_cross_checks(((stage, stages[stage]) for stage in verified), f, panel, True))
+    # one density matrix per verified stage; the final stage's also decides the l1 conflict
+    rhos = {stage: density_of(stages[stage]) for stage in verified}
+    checks = [check for stage, rho in rhos.items()
+              for check in _cross_checks(stage, stages[stage], f, panel, rho)]
     dense = {(check.stage, check.measure): check.values[METHOD_DENSE] for check in checks}
 
     deltas = []
@@ -326,7 +330,10 @@ def cmd_verify(args) -> int:
             | {"discrepancy": spread, "ok": ok}
         )
 
-    conflict = _l1_verdict(f.n, stages[Stage.FINAL_HADAMARD])
+    final_l1 = dense.get((Stage.FINAL_HADAMARD, measures.L1))
+    if final_l1 is None:
+        final_l1 = measures.l1_coherence(rhos[Stage.FINAL_HADAMARD])
+    conflict = _l1_verdict(f.n, float(final_l1))
     all_ok = (
         all(check.ok for check in checks)
         and all(row["ok"] for row in deltas)
@@ -357,10 +364,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _l1_verdict(n: int, final) -> dict:
-    """Which candidate final-stage l1 closed form the dense l1 of the run's own
-    final stage ``final`` agrees with, and the forms it rules out."""
-    dense_value = float(measures.l1_coherence(density_of(final)))
+def _l1_verdict(n: int, dense_value: float) -> dict:
+    """Which candidate final-stage l1 closed form ``dense_value``, the dense l1
+    of the run's own final stage, agrees with, and the forms it rules out."""
     candidates = closed_forms.final_stage_l1_candidates(1 << n)
     forms = {L1_QUARTER_FORM: candidates["quarter_form"], L1_HALF_FORM: candidates["half_form"]}
     missed = [form for form, value in forms.items() if not _agreement((dense_value, value))[1]]
@@ -388,7 +394,7 @@ def _l1_verdict(n: int, final) -> dict:
 
 def cmd_recover(args) -> int:
     seed = _resolve_seed(args.seed)
-    _require_n(args.n, MAX_SIM_QUBITS, "state-vector simulation")
+    _require_n(args.n, MAX_ORACLE_BITS, "circuit simulation")
     if args.trials < 1:
         raise UsageError(f"--trials must be positive, got {args.trials}")
     if args.max_queries is not None and args.max_queries < 0:

@@ -6,6 +6,10 @@ y . s = 0 (mod 2).  Accumulating samples in a GF(2) row-echelon system pins
 the mask down once the rank reaches n - 1; the single nonzero candidate is
 then confirmed with one classical collision query f(0) == f(candidate).
 Rank n means only the zero vector survives and f is declared bijective.
+
+The final stage is held factored, one base column under per-column sign
+flips, so its Born law is len(columns) * base^2 * 2^-e: a trial costs O(N log N)
+for N = 2^n inputs, and ``recover`` runs up to n = 20.
 """
 
 from __future__ import annotations
@@ -99,9 +103,10 @@ class RecoveryReport:
 def recover(f: SimonFunction, seed, max_queries: int | None = None) -> RecoveryReport:
     """Sample measurement outcomes until the mask is determined.
 
-    Never consults f.s.  The circuit's final state is deterministic for a
-    fixed oracle, so its measurement distribution is computed once and each
-    query draws a fresh sample from it.
+    The answer never depends on f.s: ``run_stages`` checks the table against
+    it, and nothing else reads it.  The circuit's final state is
+    deterministic for a fixed oracle, so its measurement distribution is
+    computed once and each query draws a fresh sample from it.
     """
     if max_queries is None:
         max_queries = 10 * f.n + 20

@@ -4,6 +4,12 @@ A hidden nonzero mask ``s`` pairs the inputs of f as {x, x ^ s}; f is constant
 on each pair and distinct across pairs.  ``s == 0`` means f is a bijection.
 The circuit runs |0...0> through a Hadamard layer on the first register, the
 reversible oracle |x>|z> -> |x>|z ^ f(x)>, and a second Hadamard layer.
+
+Every stage is held factored (see ``states.StateVector``): after the oracle,
+column f(x) holds the indicator of f^-1(f(0)) shifted by the smallest input
+of value f(x) (Simon, SIAM J. Comput. 26(5), 1997), and the second layer
+turns each shift into a sign flip of one transformed base.  No stage holds
+more than N codes and N/2 offsets, so the circuit runs up to n = 20.
 """
 
 from __future__ import annotations
@@ -149,22 +155,39 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
 
 
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
-    """Reversible oracle |x>|z> -> |x>|z ^ f(x)>, a basis permutation.
+    """Reversible oracle |x>|z> -> |x>|z ^ f(x)> on a one-column state, factored.
 
-    Moves code (x, column z) to column z ^ f(x); the output columns are the
-    sorted distinct targets, and every other output code is zero.  Codes are
-    moved, never combined, so the exponent is kept.
+    The inputs are grouped by value from the table alone; ``f.s`` is never
+    read.  With P0 = f^-1(f(0)) and x_v the smallest input of value v, every
+    preimage set must be x_v ^ P0, and the input column c must repeat its
+    codes on P0 across them: c[x_v ^ p] = c[p].  Then the code at (x, z)
+    moves to column z ^ f(x), and the output is the shift form with base
+    c * 1_P0 and offset x_v in column z ^ v, as for the Hadamard stage, whose
+    column is uniform.  Any other input cannot be factored and raises
+    ValueError.  Codes are moved, never combined, so the exponent is kept.
     """
     _require_circuit_registers(psi, f)
-    targets = psi.columns ^ f.table[:, None]
-    hit = np.zeros(1 << f.n, dtype=bool)
-    hit[targets] = True
-    columns = np.flatnonzero(hit)
-    slot = np.empty(1 << f.n, dtype=np.intp)
-    slot[columns] = np.arange(columns.size)
-    k = np.zeros((psi.k.shape[0], columns.size), dtype=np.int8)
-    k[np.arange(k.shape[0])[:, None], slot[targets]] = psi.k
-    return StateVector(psi.n_first, psi.n_second, columns, k, psi.e)
+    if psi.columns.size != 1:
+        raise ValueError(f"the oracle takes a one-column state, got {psi.columns.size} columns")
+    size = 1 << f.n
+    z = int(psi.columns[0])
+    targets = f.table ^ z if z else f.table
+    # the smallest input of each target column, or size where no input lands
+    first = np.full(size, size)
+    np.minimum.at(first, targets, np.arange(size))
+    columns = (first < size).nonzero()[0]
+    offsets = first[columns]
+    p0 = (targets == targets[0]).nonzero()[0]
+    # the sets x_v ^ P0 lie in distinct preimage sets, so they are all of them
+    # exactly when they lie in them and hold every input between them
+    cosets = offsets[:, None] ^ p0 if columns.size * p0.size == size else None
+    codes = psi.column(0)
+    if cosets is None or ((targets[cosets] != columns[:, None]) | (codes[cosets] != codes[p0])).any():
+        raise ValueError("the oracle's output does not factor: its preimage sets are not the "
+                         "shifts of f^-1(f(0)) on which the input column repeats")
+    base = np.zeros(size, dtype=np.int8)
+    base[p0] = codes[p0]
+    return StateVector(psi.n_first, psi.n_second, columns, base, offsets, psi.e)
 
 
 def _require_circuit_registers(psi: StateVector, f: SimonFunction) -> None:
@@ -193,18 +216,18 @@ def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
 def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[int, StateVector]:
     """Born-sample an f-image from the second register and collapse the state.
 
-    Each occupied column is drawn by ``born_samples`` in proportion to its
-    sum of k^2, so an impossible image can never be observed.  The returned
-    state is the renormalized projection onto the observed image: the
-    column's codes with e = log2(sum k^2), which the ``StateVector`` check
-    requires to be an integer.
+    Each column is drawn by ``born_samples`` in proportion to its count of
+    codes, the same for every column of a factored state, so an impossible
+    image can never be observed.  The returned state is the renormalized
+    projection onto the observed image: that column's codes gathered into a
+    one-column state with e = log2 of their count, which the ``StateVector``
+    check requires to be an integer.
     """
     _require_circuit_registers(psi, f)
-    squares = np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int32)
-    j = next(born_samples(squares, np.random.default_rng(seed)))
-    column = psi.k[:, j:j + 1].copy()
-    collapsed = StateVector(psi.n_first, psi.n_second, psi.columns[j:j + 1], column,
-                            int(squares[j]).bit_length() - 1)
+    count = psi.support // psi.columns.size
+    j = next(born_samples(np.full(psi.columns.size, count), np.random.default_rng(seed)))
+    collapsed = StateVector(psi.n_first, psi.n_second, psi.columns[j:j + 1], psi.column(j),
+                            np.zeros(1, dtype=np.int64), count.bit_length() - 1)
     return int(psi.columns[j]), collapsed
 
 

@@ -21,7 +21,6 @@ class Tolerances:
 TOL = Tolerances()
 
 # Largest register size n each route accepts.
-MAX_ORACLE_BITS = 20       # function tables and generated oracles: 2^n entries
+MAX_ORACLE_BITS = 20       # function tables, generated oracles and the circuit: 2^n entries
 MAX_CLOSED_FORM_BITS = 20  # closed forms, checked up to dimension 2^n
-MAX_SIM_QUBITS = 12        # joint state vector of 2^(2n) amplitudes
 MAX_DENSE_QUBITS = 5       # density matrix on a stage's support, up to 2^(2n) square

@@ -31,40 +31,82 @@ def dot_mod2(a: int, b: int) -> int:
 
 
 def second_register_distribution(psi: StateVector) -> np.ndarray:
-    """Born probabilities p[z] = sum_x k(x, z)^2 2^-e over second-register values, exact."""
-    squares = np.add.reduce(psi.k * psi.k, axis=0, dtype=np.int64)
-    return np.bincount(psi.columns, np.ldexp(squares, -psi.e), 1 << psi.n_second)
+    """Born probabilities p[z] = sum_x k(x, z)^2 2^-e over second-register values,
+    exact: every column holds the base's count of codes."""
+    count = np.count_nonzero(psi.base)
+    return np.bincount(psi.columns, np.full(psi.columns.size, np.ldexp(count, -psi.e)), 1 << psi.n_second)
+
+
+def parities(values, bits: int) -> np.ndarray:
+    """The parity of the low ``bits`` bits of each of ``values``, bit by bit."""
+    values = np.asarray(values)
+    parity = np.zeros(values.shape, dtype=np.int64)
+    for bit in range(bits):
+        parity ^= (values >> bit) & 1
+    return parity
 
 
 def flat_state(n_first: int, n_second: int, k, e: int) -> StateVector:
-    """The state of the flat joint code vector ``k`` with exponent ``e``,
-    holding only the second-register columns with a nonzero code."""
-    grid = np.asarray(k, dtype=np.int8).reshape(1 << n_first, 1 << n_second)
+    """The factored state of the flat joint code vector ``k`` with exponent ``e``.
+
+    Its nonzero columns are written as shifts of the first of them, or else
+    as sign flips of it, each with the smallest offset that fits; codes that
+    neither form fits raise ValueError.
+    """
+    rows, cols = 1 << n_first, 1 << n_second
+    grid = np.asarray(k, dtype=np.int8).reshape(rows, cols)
     columns = np.flatnonzero(grid.any(axis=0))
-    return StateVector(n_first, n_second, columns, grid.take(columns, axis=1), e)
+    if not columns.size:
+        return StateVector(n_first, n_second, columns, np.zeros(rows, dtype=np.int8), columns.copy(), e)
+    base = grid[:, columns[0]].copy()
+    xs = np.arange(rows)
+    candidates = {
+        False: base[xs[:, None] ^ xs],  # row o: base shifted by o
+        True: (1 - 2 * parities(xs[:, None] & xs, n_first)) * base,  # row o: base times (-1)^(o.y)
+    }
+    for phase, moved in candidates.items():
+        fits = (moved[:, :, None] == grid[None, :, columns]).all(axis=1)
+        if fits.any(axis=0).all():
+            return StateVector(n_first, n_second, columns, base, fits.argmax(axis=0), e, phase)
+    raise ValueError("codes do not factor into one base column under shifts or sign flips")
 
 
-def random_codes(rng: np.random.Generator, n_first: int, n_second: int, filled: int | None = None):
-    """(joint code grid, e): a random sign pattern of 2^e codes +-1.
+def random_factored_state(rng: np.random.Generator, n_first: int, n_second: int,
+                          filled: int | None = None) -> StateVector:
+    """A random factored sign pattern that the Hadamard layer maps to a sign pattern again.
 
-    A power of two of at most ``filled`` columns (all by default), drawn at
-    random, are used, each holding the same number of codes, one or two, so
-    the Hadamard layer maps the pattern to a sign pattern again.
+    The base is +-(-1)^(a.x) on a random coset of a random subspace of
+    dimension 0 to 2, the columns are a power of two of at most ``filled``
+    (all by default) distinct random ones, each with a random offset, and
+    the form is drawn at random.
     """
     rows, cols = 1 << n_first, 1 << n_second
     filled = cols if filled is None else filled
-    grid = np.zeros((rows, cols), dtype=np.int8)
+    span = [0]
+    for _ in range(int(rng.integers(0, min(n_first, 2) + 1))):
+        step = int(rng.choice(np.setdiff1d(np.arange(1, rows), span)))
+        span += [x ^ step for x in span]
+    inputs = int(rng.integers(rows)) ^ np.array(span)
+    base = np.zeros(rows, dtype=np.int8)
+    base[inputs] = rng.choice([-1, 1]) * (1 - 2 * parities(inputs & int(rng.integers(rows)), n_first))
     used = 1 << int(rng.integers(0, filled.bit_length()))
-    per_column = int(rng.integers(1, min(rows, 2) + 1))
-    for z in rng.permutation(cols)[:used]:
-        grid[rng.choice(rows, per_column, replace=False), z] = rng.choice([-1, 1], per_column)
-    return grid, (used * per_column).bit_length() - 1
+    columns = np.sort(rng.choice(cols, used, replace=False))
+    offsets = rng.integers(0, rows, used)
+    e = (len(span) * used).bit_length() - 1
+    return StateVector(n_first, n_second, columns, base, offsets, e, bool(rng.integers(2)))
+
+
+def random_codes(rng: np.random.Generator, n_first: int, n_second: int, filled: int | None = None):
+    """(joint code grid, e) of ``random_factored_state``."""
+    psi = random_factored_state(rng, n_first, n_second, filled)
+    grid = np.zeros((1 << n_first, 1 << n_second), dtype=np.int8)
+    grid[:, psi.columns] = psi.k
+    return grid, psi.e
 
 
 def random_exact_state(rng: np.random.Generator, n_first: int, n_second: int) -> StateVector:
-    """``flat_state`` of ``random_codes``."""
-    grid, e = random_codes(rng, n_first, n_second)
-    return flat_state(n_first, n_second, grid, e)
+    """``random_factored_state`` over all columns."""
+    return random_factored_state(rng, n_first, n_second)
 
 
 def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:

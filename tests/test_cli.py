@@ -191,8 +191,8 @@ def keep_two_columns(psi, f, seed):
     observed, collapsed = measure_second_register(psi, f, seed)
     j = int(np.searchsorted(psi.columns, observed))
     pair = slice(j - 1, j + 1) if j else slice(0, 2)
-    codes = psi.k[:, pair].copy()
-    return observed, StateVector(psi.n_first, psi.n_second, psi.columns[pair], codes, collapsed.e + 1)
+    return observed, StateVector(psi.n_first, psi.n_second, psi.columns[pair], psi.base, psi.offsets[pair],
+                                 collapsed.e + 1, psi.phase)
 
 
 @pytest.mark.parametrize("argv", [["--n", "3", "--dense", "on"], ["--n", "5"], ["--n", "8"]])
@@ -265,8 +265,8 @@ def test_run_final_stage_l1p_spread_is_exactly_zero_at_n_11(capsys):
 def test_run_capability_limits(capsys):
     code, _, err = run_cli(capsys, ["run", "--n", "6", "--seed", "0", "--dense", "on"])
     assert code == EXIT_CAPABILITY and "n <= 5" in err
-    code, _, err = run_cli(capsys, ["run", "--n", "13", "--seed", "0"])
-    assert code == EXIT_CAPABILITY and "n <= 12" in err
+    code, _, err = run_cli(capsys, ["run", "--n", "21", "--seed", "0"])
+    assert code == EXIT_CAPABILITY and "n <= 20" in err
 
 
 def test_run_function_file_round_trip(capsys, tmp_path):
@@ -354,6 +354,36 @@ def test_verify_simulates_one_circuit(capsys, monkeypatch):
         code, _ = run_json(capsys, ["verify", "--n", str(n), "--seed", "4"])
         assert code == EXIT_OK
     assert calls == [1, 3, 5]
+
+
+@pytest.mark.parametrize("measures_flag", ["skew_info", "tsallis,l1p,skew_info,l1"])
+def test_verify_builds_one_density_matrix_per_verified_stage(capsys, monkeypatch, measures_flag):
+    # the l1 verdict reads the final stage's dense l1, or its matrix, from the checks
+    built = []
+    density_of = cli.density_of
+
+    def counted(psi):
+        built.append(psi.support)
+        return density_of(psi)
+
+    monkeypatch.setattr(cli, "density_of", counted)
+    for n in (1, 3, 5):
+        code, doc = run_json(capsys, ["verify", "--n", str(n), "--seed", "4", "--measures", measures_flag])
+        assert code == EXIT_OK and doc["l1_conflict"]["confirmed"] == "N^2/4-1"
+        assert built == [1 << n, 1 << n, (1 << n) ** 2 // 4]
+        built.clear()
+
+
+def test_no_product_layer_builds_the_grid_above_n_5(capsys, monkeypatch):
+    def grid(psi):
+        raise AssertionError(f"a grid was built at n = {psi.n_first}")
+
+    for name in ("k", "amps"):
+        monkeypatch.setattr(StateVector, name, property(grid))
+    for argv in (["run", "--n", "12", "--seed", "1"], ["run", "--n", "12", "--s", "0" * 12, "--seed", "1"],
+                 ["recover", "--n", "12", "--trials", "3", "--seed", "1"]):
+        code, _ = run_json(capsys, argv)
+        assert code == EXIT_OK
 
 
 def test_verify_note_rules_out_every_form_the_dense_l1_misses(capsys, monkeypatch):

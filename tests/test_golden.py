@@ -23,10 +23,14 @@ GOLDEN_ARGV = {
     "gen_oracle_n5_drawn.txt": ["gen-oracle", "--n", "5", "--seed", "6"],
     "run_n4_dense_off.json": ["run", "--n", "4", "--s", "1010", "--seed", "2", "--dense", "off"],
     "run_n4_drawn_dense_off.json": ["run", "--n", "4", "--seed", "3", "--dense", "off"],
+    "run_n12_dense_off.json": ["run", "--n", "12", "--seed", "1", "--dense", "off"],
     # Dense fixtures leave rel_entropy out: its dense value comes from the BLAS
     # eigensolver, whose last bits depend on the CPU kernel it dispatches to.
     "run_n3_dense.json": [
         "run", "--n", "3", "--s", "110", "--seed", "2", "--measures", "tsallis,l1p,skew_info,l1",
+    ],
+    "run_n4_bijection_dense.json": [
+        "run", "--n", "4", "--s", "0000", "--seed", "2", "--measures", "tsallis,l1p,skew_info,l1",
     ],
     "verify_n3.csv": [
         "verify", "--n", "3", "--s", "101", "--seed", "5",

@@ -347,11 +347,10 @@ def test_pure_route_reads_the_simulated_amplitudes():
     broken = SimonFunction(n, table, good.s)
     with pytest.raises(ValueError):
         run_stages(broken)
-    # the columns of f(3) and of the new image hold one code beside columns of
-    # two, so the final layer leaves codes 2 and 1 and no state is built
-    oracle = oracle_apply(hadamard_first_register(basis_state(n, n)), broken)
-    with pytest.raises(ValueError, match="codes"):
-        hadamard_first_register(oracle)
+    # the preimage sets of f(3) and of the new image hold one input beside sets
+    # of two, so the oracle's output does not factor and no state is built
+    with pytest.raises(ValueError, match="factor"):
+        oracle_apply(hadamard_first_register(basis_state(n, n)), broken)
     closed = final_stage_coherence(1 << n, L1)
     intact = run_stages(good)[Stage.FINAL_HADAMARD]
     assert abs(pure_state_coherence(intact, L1) - closed) < TOL.cross_method

@@ -1,7 +1,9 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from simon_coherence import (
     Stage,
     StateVector,
     bits_to_int,
+    born_samples,
     first_register_distribution,
     format_function_table,
     hadamard_first_register,
@@ -28,7 +31,14 @@ from simon_coherence import (
     validate_function,
 )
 from simon_coherence.tolerances import MAX_ORACLE_BITS
-from conftest import dot_mod2, flat_state, random_codes, random_exact_state, second_register_distribution
+from conftest import (
+    dot_mod2,
+    flat_state,
+    parities,
+    random_codes,
+    random_factored_state,
+    second_register_distribution,
+)
 
 
 def interference_expected(f: SimonFunction) -> np.ndarray:
@@ -255,18 +265,37 @@ def test_oracle_apply_three_qubit_example(f_three_qubit):
     assert np.abs(state.amps - expected).max() < 1e-12
 
 
+def repeating_column(rng: np.random.Generator, f: SimonFunction) -> StateVector:
+    """A random one-column state whose codes repeat across the preimage sets of
+    f: code c0[p] at x_v ^ p for each image v, with x_v the smallest input of
+    value v and p in f^-1(f(0)), and c0 random signs and zeros on f^-1(f(0))."""
+    size = 1 << f.n
+    p0 = np.flatnonzero(f.table == f.table[0])
+    c0 = np.zeros(size, dtype=np.int8)
+    while not c0.any() or np.count_nonzero(c0) & (np.count_nonzero(c0) - 1):
+        c0[p0] = rng.choice([-1, 0, 1], p0.size)
+    smallest = {}
+    for x in range(size):
+        smallest.setdefault(f(x), x)
+    xs = np.arange(size)
+    base = c0[xs ^ np.array([smallest[f(x)] for x in range(size)])]
+    e = (int(np.count_nonzero(c0)) * (size // p0.size)).bit_length() - 1
+    return StateVector(f.n, f.n, np.array([int(rng.integers(size))]), base, np.zeros(1, dtype=int), e)
+
+
 def test_oracle_apply_twice_is_identity(f_three_qubit):
+    # the oracle is its own inverse: the reference oracle undoes the factored one
     rng = np.random.default_rng(31)
     for _ in range(10):
-        psi = random_exact_state(rng, 3, 3)
-        twice = oracle_apply(oracle_apply(psi, f_three_qubit), f_three_qubit)
-        assert np.array_equal(twice.amps, psi.amps)
+        psi = repeating_column(rng, f_three_qubit)
+        once = oracle_apply(psi, f_three_qubit)
+        assert np.array_equal(reference_oracle(once.amps, f_three_qubit), psi.amps)
 
 
 def test_oracle_apply_preserves_magnitude_multiset(f_three_qubit):
     rng = np.random.default_rng(37)
     for _ in range(10):
-        psi = random_exact_state(rng, 3, 3)
+        psi = repeating_column(rng, f_three_qubit)
         moved = oracle_apply(psi, f_three_qubit)
         assert moved.e == psi.e
         assert np.array_equal(np.sort(np.abs(psi.amps)), np.sort(np.abs(moved.amps)))
@@ -451,62 +480,203 @@ def assert_matches_reference(got: np.ndarray, expected: np.ndarray, input_e: int
         assert np.all(np.abs(got - expected) <= 2 * np.finfo(float).eps * np.abs(got))
 
 
-def occupied_columns(psi: StateVector) -> int:
-    return int(psi.amps.reshape(1 << psi.n_first, -1).any(axis=0).sum())
+class Block(NamedTuple):
+    """A stage in the column-block form: the sorted occupied ``columns``, the
+    C-contiguous int8 ``(2^n, len(columns))`` codes ``k`` of them, and ``e``."""
+
+    columns: np.ndarray
+    k: np.ndarray
+    e: int
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), 10, 11])
+def block_hadamard(block: Block) -> Block:
+    """The column-block Hadamard layer: butterflies down every column, in the
+    narrowest integer type that holds a column's sum of |k|, then a factor 2^t
+    common to every code moved into e."""
+    rows = block.k.shape[0]
+    mass = int(np.abs(block.k).sum(axis=0, dtype=np.int64).max())
+    a = block.k.astype(next(t for t in (np.int8, np.int16, np.int32) if mass <= np.iinfo(t).max))
+    h = 1
+    while h < rows:
+        pairs = a.reshape(rows // (2 * h), 2, h * a.shape[1])
+        top = pairs[:, 0, :].copy()
+        pairs[:, 0, :] += pairs[:, 1, :]
+        pairs[:, 1, :] = top - pairs[:, 1, :]
+        h *= 2
+    common = int(np.bitwise_or.reduce(a, axis=None))
+    shift = (common & -common).bit_length() - 1
+    a >>= shift
+    assert a.min() >= -1 and a.max() <= 1
+    return Block(block.columns, a.astype(np.int8), block.e + rows.bit_length() - 1 - 2 * shift)
+
+
+def block_oracle(block: Block, f: SimonFunction) -> Block:
+    """The column-block oracle: code (x, column z) moved to column z ^ f(x)."""
+    targets = block.columns ^ f.table[:, None]
+    columns = np.unique(targets)
+    k = np.zeros((block.k.shape[0], columns.size), dtype=np.int8)
+    k[np.arange(k.shape[0])[:, None], np.searchsorted(columns, targets)] = block.k
+    return Block(columns, k, block.e)
+
+
+def block_measure(block: Block, seed) -> tuple[int, Block]:
+    """The column-block measurement: a column drawn by its sum of k^2, kept alone."""
+    squares = np.add.reduce(block.k * block.k, axis=0, dtype=np.int32)
+    j = next(born_samples(squares, np.random.default_rng(seed)))
+    collapsed = Block(block.columns[j:j + 1], block.k[:, j:j + 1].copy(), int(squares[j]).bit_length() - 1)
+    return int(block.columns[j]), collapsed
+
+
+def block_circuit(f: SimonFunction, seed):
+    """The column-block circuit's stages (initial, hadamard, oracle, final),
+    the observed image, the collapsed stage and the post-measure stage."""
+    initial = Block(np.array([0]), np.eye(1 << f.n, 1, dtype=np.int8), 0)
+    oracle = block_oracle(block_hadamard(initial), f)
+    observed, collapsed = block_measure(oracle, seed)
+    stages = [initial, block_hadamard(initial), oracle, block_hadamard(oracle)]
+    return stages, observed, collapsed, block_hadamard(collapsed)
+
+
+def assert_same_block(psi: StateVector, block: Block) -> None:
+    assert np.array_equal(psi.columns, block.columns) and psi.e == block.e
+    assert psi.k.dtype == np.int8 and psi.k.flags.c_contiguous and np.array_equal(psi.k, block.k)
+
+
+def circuit_tables(n: int):
+    """A drawn mask, a bijection, and a table re-spelled with tabs and read back."""
+    drawn = random_two_to_one(n, int(np.random.default_rng(n).integers(1, 1 << n)), n)
+    text = format_function_table(random_two_to_one(n, (1 << n) - 1, n + 1))
+    return drawn, random_bijection(n, n), parse_function_table(text.replace(" ", "\t"))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_layers_match_the_full_grid_reference_bit_for_bit(n):
-    columns_seen = set()
-    for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
+    # the column-block circuit, code for code at every stage, and up to n = 8
+    # the float circuit on the full grid too
+    for f in circuit_tables(n):
         stages = run_stages(f)
-        _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
-        states = list(stages.values()) + [collapsed, hadamard_first_register(collapsed)]
-        # the float reference circuit, run on its own output
-        hadamard = reference_hadamard(stages[Stage.INITIAL].amps, n)
-        oracle = reference_oracle(hadamard, f)
-        final = reference_hadamard(oracle, n)
-        assert np.array_equal(bits(stages[Stage.HADAMARD].amps), bits(hadamard))
-        assert np.array_equal(bits(stages[Stage.ORACLE].amps), bits(oracle))
-        assert_matches_reference(stages[Stage.FINAL_HADAMARD].amps, final, n)
-        for psi in states:
-            columns_seen.add(occupied_columns(psi) / (1 << n))
-            assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi.amps, f)))
-            # from n = 7 on, the butterflies of a Hadamard or final-stage column run wider than int8
-            assert_matches_reference(hadamard_first_register(psi).amps, reference_hadamard(psi.amps, n), psi.e)
-    # one column, half of them (two-to-one oracle stage) and all of them are covered
-    assert {1 / (1 << n), 0.5, 1.0} <= columns_seen
+        blocks, observed, collapsed, post = block_circuit(f, n)
+        for psi, block in zip(stages.values(), blocks, strict=True):
+            assert_same_block(psi, block)
+        got_observed, got_collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
+        assert got_observed == observed
+        assert_same_block(got_collapsed, collapsed)
+        assert_same_block(hadamard_first_register(got_collapsed), post)
+        if n <= 8:
+            hadamard = reference_hadamard(stages[Stage.INITIAL].amps, n)
+            oracle = reference_oracle(hadamard, f)
+            assert np.array_equal(bits(stages[Stage.HADAMARD].amps), bits(hadamard))
+            assert np.array_equal(bits(stages[Stage.ORACLE].amps), bits(oracle))
+            assert_matches_reference(stages[Stage.FINAL_HADAMARD].amps, reference_hadamard(oracle, n), n)
 
 
 def test_random_states_match_the_full_grid_reference_bit_for_bit():
-    # random sign patterns with one or two codes per column, on few or many columns
+    # random factored sign patterns in both forms on few or many columns, and
+    # the one-column states the oracle takes
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 4, 7):
         f = random_two_to_one(n, (1 << n) - 1, 11)
         for filled in (1, 2, 3, 1 << n):
-            grid, e = random_codes(rng, n, n, filled)
-            psi = StateVector(n, n, np.arange(1 << n), grid, e)  # empty columns kept
-            assert_matches_reference(hadamard_first_register(psi).amps, reference_hadamard(psi.amps, n), e)
-            assert np.array_equal(bits(oracle_apply(psi, f).amps), bits(reference_oracle(psi.amps, f)))
+            psi = random_factored_state(rng, n, n, filled)
+            for form in (psi, replace(psi, phase=not psi.phase)):
+                assert_matches_reference(hadamard_first_register(form).amps, reference_hadamard(form.amps, n),
+                                         form.e)
+            lone = repeating_column(rng, f)
+            assert np.array_equal(bits(oracle_apply(lone, f).amps), bits(reference_oracle(lone.amps, f)))
 
 
-def test_the_circuit_hadamard_layers_run_on_int8_codes(monkeypatch):
-    # every layer runs its butterflies on the int8 codes and adds n to e;
-    # a two-to-one f's final codes +-2 then move a factor 4 back into e
-    dtypes = []
+@pytest.mark.parametrize("n_first, n_second", [(1, 2), (2, 1), (3, 1), (3, 4), (5, 2)])
+def test_hadamard_swaps_shifts_and_sign_flips(n_first, n_second):
+    # W X^o = Z^o W and W Z^o = X^o W: the layer transforms the base alone,
+    # keeps the columns and offsets and swaps the form; applied twice it is
+    # the identity, code for code
+    rng = np.random.default_rng(10 * n_first + n_second)
+    for _ in range(8):
+        drawn = random_factored_state(rng, n_first, n_second)
+        for psi in (drawn, replace(drawn, phase=not drawn.phase)):
+            once = hadamard_first_register(psi)
+            assert once.phase is not psi.phase
+            assert once.columns is psi.columns and once.offsets is psi.offsets
+            lone = StateVector(n_first, n_second, psi.columns[:1], psi.base, np.zeros(1, dtype=int),
+                               int(np.count_nonzero(psi.base)).bit_length() - 1)
+            assert np.array_equal(once.base, hadamard_first_register(lone).base)
+            assert_matches_reference(once.amps, reference_hadamard(psi.amps, n_first), psi.e)
+            twice = hadamard_first_register(once)
+            assert (twice.phase, twice.e) == (psi.phase, psi.e)
+            assert np.array_equal(twice.base, psi.base) and np.array_equal(twice.amps, psi.amps)
+
+
+def test_the_circuit_hadamard_layers_transform_one_int32_base_column(monkeypatch):
+    # every layer runs its transform on one int32 column of 2^n codes and adds
+    # n to e; a two-to-one f's final codes +-2 then move a factor 4 back into e
+    shapes = []
     original = states._butterflies
 
     def recording(a):
-        dtypes.append(a.dtype)
+        shapes.append((a.dtype, a.shape))
         original(a)
 
     monkeypatch.setattr(states, "_butterflies", recording)
-    for n in (1, 6, 7, 10):
+    for n in (1, 6, 7, 10, 16):
         for f, final_e in ((random_two_to_one(n, 1, n), 2 * n - 2), (random_bijection(n, n), 2 * n)):
             exponents = [psi.e for psi in run_stages(f).values()]
             assert exponents == [0, n, n, final_e]
-            assert dtypes == [np.int8, np.int8]
-            dtypes.clear()
+            assert shapes == [(np.int32, (1 << n,))] * 2
+            shapes.clear()
+
+
+def test_oracle_apply_rejects_what_it_cannot_factor():
+    f = SimonFunction(2, [0, 3, 0, 3], 0b10)
+    hadamard = run_stages(f)[Stage.HADAMARD]
+    # a state of two columns
+    with pytest.raises(ValueError, match="one-column"):
+        oracle_apply(oracle_apply(hadamard, f), f)
+    # preimage sets of unequal size, or of equal size but not shifts of f^-1(f(0))
+    for table in ([0, 0, 0, 1], [0, 0, 1, 2], [0, 0, 1, 1, 0, 1, 0, 1]):
+        n = len(table).bit_length() - 1
+        with pytest.raises(ValueError, match="factor"):
+            oracle_apply(run_stages(random_bijection(n, 1))[Stage.HADAMARD], SimonFunction(n, table, 0))
+    # an input column that does not repeat its codes across the preimage sets
+    codes = np.array([1, -1, 1, 1], dtype=np.int8)
+    column = StateVector(2, 2, np.array([0]), codes, np.zeros(1, dtype=int), 2)
+    with pytest.raises(ValueError, match="factor"):
+        oracle_apply(column, SimonFunction(2, [0, 0, 1, 1], 0b01))
+
+
+class Maskless:
+    """A table without a readable mask: reading ``s`` raises."""
+
+    def __init__(self, f: SimonFunction):
+        self.n, self.table = f.n, f.table
+
+    @property
+    def s(self):
+        raise AssertionError("the mask was read")
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_oracle_apply_never_reads_the_mask(n):
+    for f in (random_two_to_one(n, 1, n), random_bijection(n, n)):
+        hadamard = run_stages(f)[Stage.HADAMARD]
+        got, expected = oracle_apply(hadamard, Maskless(f)), oracle_apply(hadamard, f)
+        assert np.array_equal(got.columns, expected.columns) and np.array_equal(got.offsets, expected.offsets)
+        assert np.array_equal(got.base, expected.base) and got.e == expected.e
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_large_circuits_keep_the_closed_form_support_and_born_law(n):
+    # beyond any grid: the final stage's support is the table's, and its Born
+    # law is uniform on the y with y.s = 0 (every y for a bijection)
+    from simon_coherence import closed_forms
+
+    ys = np.arange(1 << n)
+    for f in (random_two_to_one(n, (1 << n) - 1 - n, n), random_bijection(n, n)):
+        final = run_stages(f)[Stage.FINAL_HADAMARD]
+        assert final.support == closed_forms.support(Stage.FINAL_HADAMARD, n, f.s)
+        allowed = parities(ys & f.s, n) == 0
+        probs = first_register_distribution(final)
+        assert np.array_equal(probs, np.where(allowed, 1.0 / np.count_nonzero(allowed), 0.0))
+        assert not {"k", "amps"} & set(vars(final))
 
 
 # ------------------------------------------------- column blocks vs matrices
@@ -541,14 +711,10 @@ def assert_block_holds(psi: StateVector) -> None:
 
 
 def random_block_states(rng, n):
-    """A random sign pattern on at most half the columns, and the same state
-    with a block that also lists an all-zero column."""
-    size = 1 << n
-    grid, e = random_codes(rng, n, n, max(1, size // 2))
-    yield flat_state(n, n, grid, e)
-    used = np.flatnonzero(grid.any(axis=0))
-    columns = np.union1d(used, np.setdiff1d(np.arange(size), used)[:1])
-    yield StateVector(n, n, columns, grid.take(columns, axis=1), e)
+    """A random factored sign pattern on at most half the columns, in both forms."""
+    psi = random_factored_state(rng, n, n, max(1, (1 << n) // 2))
+    yield psi
+    yield replace(psi, phase=not psi.phase)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -557,13 +723,13 @@ def test_block_layers_match_the_explicit_matrices(n):
     hadamard = hadamard_matrix(n, n)
     for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
         oracle = oracle_matrix(f)
+        lone = repeating_column(rng, f)
         for psi in random_block_states(rng, n):
             assert_block_holds(psi)
             for got, expected in ((hadamard_first_register(psi), hadamard @ psi.amps),
-                                  (oracle_apply(psi, f), oracle @ psi.amps)):
+                                  (oracle_apply(lone, f), oracle @ lone.amps)):
                 assert_block_holds(got)
                 assert np.allclose(got.amps, expected)
-            # an all-zero column keeps its place through the Hadamard layer
             assert np.array_equal(hadamard_first_register(psi).columns, psi.columns)
 
 
@@ -606,9 +772,10 @@ def test_circuit_layers_never_build_the_full_vector():
         assert psi.support == 1 << psi.e
         first_register_distribution(psi)
         second_register_distribution(psi)
-    assert not [psi for psi in states if "amps" in vars(psi)]
-    # the N x N/2 oracle-stage block is the largest array any stage holds
-    assert max(psi.k.size for psi in states) == (1 << 2 * n) // 2
+    assert not [psi for psi in states if {"k", "amps"} & set(vars(psi))]
+    # one base column of N codes and at most N/2 offsets is the most any stage holds
+    assert max(psi.base.size for psi in states) == 1 << n
+    assert max(psi.offsets.size for psi in states) == (1 << n) // 2
 
 
 # -------------------------------------------------------------- function table

@@ -39,8 +39,15 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_state_vector_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        StateVector(1, 1, np.arange(2), np.array([[1], [0]], dtype=np.int8), 0)
+    one = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="base"):
+        StateVector(1, 1, one, np.array([1, 0, 0, 0], dtype=np.int8), one, 0)
+    with pytest.raises(ValueError, match="offsets"):
+        StateVector(1, 1, one, np.array([1, 0], dtype=np.int8), np.zeros(2, dtype=np.int64), 0)
+    # an offset is a first-register value, so it has n_first bits
+    for offset in (2, -1):
+        with pytest.raises(ValueError, match="offsets"):
+            StateVector(1, 1, one, np.array([1, 0], dtype=np.int8), np.array([offset]), 0)
 
 
 def test_state_vector_rejects_unnormalized():
@@ -70,17 +77,24 @@ def test_state_vector_rejects_codes_outside_the_code_set():
 
 
 def test_state_vector_rejects_empty_registers():
+    one = np.zeros(1, dtype=np.intp)
     with pytest.raises(ValueError):
-        StateVector(0, 0, np.zeros(1, dtype=np.intp), np.ones((1, 1), dtype=np.int8), 0)
+        StateVector(0, 0, one, np.ones(1, dtype=np.int8), one, 0)
 
 
 def test_state_vector_holds_only_contiguous_int8_blocks():
-    k = np.array([[1, 0], [1, 0]], dtype=np.int8)
-    assert StateVector(1, 1, np.arange(2), k, 1).k is k
-    for bad, named in ((k.astype(np.float64), "float64"), (k.astype(np.int16), "int16"),
-                       (k.astype(np.uint8), "uint8"), (k.T, "contiguously")):
+    # one int8 base column, kept and made read-only with the columns and offsets
+    base = np.array([1, 1], dtype=np.int8)
+    columns, offsets = np.arange(2), np.array([0, 1])
+    psi = StateVector(1, 1, columns, base, offsets, 2)
+    assert psi.base is base and psi.columns is columns and psi.offsets is offsets
+    assert not (base.flags.writeable or columns.flags.writeable or offsets.flags.writeable)
+    assert psi.k.dtype == np.int8 and psi.k.flags.c_contiguous and psi.k.shape == (2, 2)
+    block = np.array([1, 1], dtype=np.int8)
+    for bad, named in ((block.astype(np.float64), "float64"), (block.astype(np.int16), "int16"),
+                       (block.astype(np.uint8), "uint8"), (block.reshape(2, 1), r"\(2, 1\)")):
         with pytest.raises(ValueError, match=named):
-            StateVector(1, 1, np.arange(2), bad, 1)
+            StateVector(1, 1, columns, bad, offsets, 2)
 
 
 def test_basis_state_is_one_hot():
@@ -122,47 +136,44 @@ def test_hadamard_preserves_norm_and_is_involution(n1, n2, seed):
 
 
 def test_hadamard_rejects_a_column_whose_butterflies_could_wrap_int8(monkeypatch):
-    # one column of 128 codes +-1 (sum of |k| 128): the butterflies run in
-    # int16, and the values they leave fail the code set before any cast to
-    # int8 could wrap them into it, so no output state is built
+    # one column of 128 codes +-1: its butterfly values, up to 128 in magnitude,
+    # would wrap in int8; in int32 they fail the code set before any cast
+    # back to int8, so no output state is built
     rng = np.random.default_rng(5)
     built = []
-    k = np.zeros((128, 2), dtype=np.int8)
-    k[:, 1] = rng.choice([-1, 1], 128)
-    psi = StateVector(7, 1, np.arange(2), k, 7)
-    kept = k.copy()
+    base = rng.choice([-1, 1], 128).astype(np.int8)
+    psi = StateVector(7, 1, np.arange(1), base, np.array([1]), 7)
+    kept = base.copy()
     with monkeypatch.context() as patched:
         patched.setattr(states, "StateVector", lambda *args: built.append(args))
         with pytest.raises(ValueError, match="codes"):
             hadamard_first_register(psi)
-    assert np.array_equal(psi.k, kept)
+    assert np.array_equal(psi.base, kept)
     assert not built
-    # a column of 2^7 or 2^15 codes +1 (int16 and int32 butterflies) is the
-    # Hadamard image of |0>, and the layer maps it back there
-    for n_first in (7, 15):
-        column = np.ones((1 << n_first, 1), dtype=np.int8)
-        back = hadamard_first_register(StateVector(n_first, 0, np.arange(1), column, n_first))
-        assert back.e == 0 and back.k.dtype == np.int8
-        assert np.array_equal(np.flatnonzero(back.k), [0]) and back.k[0, 0] == 1
-    # at a sum of 127 the butterflies stay in int8: their values fit (row 0 of
-    # column 0 is 127) but leave the code set
-    k = np.zeros((128, 2), dtype=np.int8)
-    k[:127, 0] = 1
-    k[0, 1] = 1
-    with pytest.raises(ValueError, match="codes"):
-        hadamard_first_register(StateVector(7, 1, np.arange(2), k, 7))
+    # a column of 2^7, 2^15 or 2^20 codes +1 is the Hadamard image of |0>, and
+    # the layer maps it back there, the one butterfly value 2^n_first included
+    for n_first in (7, 15, 20):
+        column = np.ones(1 << n_first, dtype=np.int8)
+        lone = StateVector(n_first, 0, np.arange(1), column, np.zeros(1, dtype=int), n_first)
+        back = hadamard_first_register(lone)
+        assert back.e == 0 and back.base.dtype == np.int8
+        assert np.array_equal(np.flatnonzero(back.base), [0]) and back.base[0] == 1
 
 
 def test_hadamard_rejects_columns_of_unequal_mass():
-    # a column of two codes maps to codes 0 and +-2, and one of one code to
-    # codes +-1: no common factor 2 is left to move into e, so codes 2 remain
+    # every column of a state holds its base's count of codes, so a column of
+    # two codes beside a column of one cannot be built at all
     k = np.array([[1, 1, 1], [0, 0, -1], [0, 0, 0], [0, 0, 0]], dtype=np.int8)
-    psi = StateVector(2, 2, np.arange(3), k, 2)
+    with pytest.raises(ValueError, match="factor"):
+        flat_state(2, 2, np.pad(k, ((0, 0), (0, 1))), 2)
+    # a base of four codes off a coset leaves codes of magnitude 2 and 1: no
+    # common factor 2 is left to move into e
+    off_coset = np.array([1, 1, 1, 0, 1, 0, 0, 0], dtype=np.int8)
     with pytest.raises(ValueError, match="codes"):
-        hadamard_first_register(psi)
+        hadamard_first_register(flat_state(3, 0, off_coset, 2))
     # with both columns of mass two, the factor 2 moves into e and signs remain
-    even = np.array([[1, 1], [0, -1], [1, 0], [0, 0]], dtype=np.int8)
-    assert hadamard_first_register(StateVector(2, 1, np.arange(2), even, 2)).support == 4
+    even = np.array([[1, 1], [0, 0], [1, -1], [0, 0]], dtype=np.int8)
+    assert hadamard_first_register(flat_state(2, 1, even, 2)).support == 4
 
 
 # --------------------------------------------------------------------- density
@@ -351,14 +362,17 @@ def exact_sums(psi: StateVector, axis: int) -> np.ndarray:
 
 
 def exact_distribution_states():
-    """Random sign blocks with one or many columns, and the circuit's stages at n = 10."""
+    """Random factored sign patterns with one or many columns, in both forms,
+    and the circuit's stages at n = 10."""
     rng = np.random.default_rng(43)
     states = []
-    for rows, width, ones in ((1024, 100, 1 << 16), (2048, 3, 1 << 12), (64, 1, 64), (8, 2, 16),
+    for rows, width, ones in ((1024, 128, 1 << 16), (2048, 4, 1 << 12), (64, 1, 64), (8, 2, 16),
                               (65536, 1, 1 << 12)):
-        e = ones.bit_length() - 1
-        k = sign_codes(rng, rows, width, ones)
-        states.append(StateVector(rows.bit_length() - 1, (width - 1).bit_length(), np.arange(width), k, e))
+        base = sign_codes(rng, rows, 1, ones // width).reshape(-1)
+        offsets = rng.integers(0, rows, width)
+        for phase in (False, True):
+            states.append(StateVector(rows.bit_length() - 1, (width - 1).bit_length(), np.arange(width), base,
+                                      offsets, ones.bit_length() - 1, phase))
     for f in (random_two_to_one(10, 0b1001101, 2), random_bijection(10, 2)):
         states += list(run_stages(f).values())
     return states
