@@ -55,7 +55,7 @@ from .simon import (
     run_stages,
 )
 from .states import density_of, hadamard_first_register
-from .tolerances import MAX_CLOSED_FORM_BITS, MAX_DENSE_QUBITS, MAX_ORACLE_BITS, TOL
+from .tolerances import MAX_DENSE_QUBITS, MAX_ORACLE_BITS, TOL
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -212,10 +212,20 @@ def _regime_json(dim: int) -> dict:
     }
 
 
-def _stage_sequence(f: SimonFunction, seed: int):
+def _staged_checks(f: SimonFunction, seed: int, panel, dense_on: bool):
+    """Every stage of ``f``'s circuit checked by every route: the ``_Check``
+    rows in stage order, the observed second-register value, and the final
+    stage's density matrix (None when dense is off).  Each stage's matrix is
+    built once."""
     stages = run_stages(f)
     observed, collapsed = measure_second_register(stages[Stage.ORACLE], f, _subseed(seed, 2))
-    return [*stages.items(), (Stage.POST_MEASURE, hadamard_first_register(collapsed))], observed
+    checks, final_rho = [], None
+    for stage, state in [*stages.items(), (Stage.POST_MEASURE, hadamard_first_register(collapsed))]:
+        rho = density_of(state) if dense_on else None
+        if stage is Stage.FINAL_HADAMARD:
+            final_rho = rho
+        checks += _cross_checks(stage, state, f, panel, rho)
+    return checks, observed, final_rho
 
 
 class _Check(NamedTuple):
@@ -260,9 +270,7 @@ def cmd_run(args) -> int:
     f = _load_oracle(args, seed)
     dense_on = _dense_enabled(args.dense, f.n)
 
-    ordered, observed = _stage_sequence(f, seed)
-    checks = [check for stage, state in ordered
-              for check in _cross_checks(stage, state, f, panel, density_of(state) if dense_on else None)]
+    checks, observed, _ = _staged_checks(f, seed, panel, dense_on)
     stage_entries = []
     for stage, group in groupby(checks, key=attrgetter("stage")):
         group = list(group)
@@ -308,36 +316,23 @@ def cmd_verify(args) -> int:
     panel, panel_config = _build_panel(args)
     _require_n(args.n, MAX_DENSE_QUBITS, "verify, which needs the dense path,")
     f = _oracle(args.n, _parse_mask(args.s, args.n), seed)
-    if f.s == 0:
-        raise UsageError("verify requires a nonzero mask; the final-stage closed forms assume one")
 
-    stages = run_stages(f)
-    verified = (Stage.HADAMARD, Stage.ORACLE, Stage.FINAL_HADAMARD)
-    # one density matrix per verified stage; the final stage's also decides the l1 conflict
-    rhos = {stage: density_of(stages[stage]) for stage in verified}
-    checks = [check for stage, rho in rhos.items()
-              for check in _cross_checks(stage, stages[stage], f, panel, rho)]
-    dense = {(check.stage, check.measure): check.values[METHOD_DENSE] for check in checks}
+    checks, _, final_rho = _staged_checks(f, seed, panel, dense_on=True)
+    values = {(check.stage, check.measure): check.values for check in checks}
 
     deltas = []
     for measure in panel:
-        closed_delta = closed_forms.coherence_delta(1 << f.n, measure)
-        dense_delta = dense[Stage.FINAL_HADAMARD, measure] - dense[Stage.HADAMARD, measure]
-        spread, ok = _agreement((closed_delta, dense_delta))
-        deltas.append(
-            _measure_json(measure)
-            | {"closed_form": float(closed_delta), "dense": float(dense_delta)}
-            | {"discrepancy": spread, "ok": ok}
-        )
+        final, hadamard = values[Stage.FINAL_HADAMARD, measure], values[Stage.HADAMARD, measure]
+        delta = {method: final[method] - hadamard[method] for method in (METHOD_CLOSED, METHOD_DENSE)}
+        spread, ok = _agreement(delta.values())
+        deltas.append(_measure_json(measure) | delta | {"discrepancy": spread, "ok": ok})
 
-    final_l1 = dense.get((Stage.FINAL_HADAMARD, measures.L1))
-    if final_l1 is None:
-        final_l1 = measures.l1_coherence(rhos[Stage.FINAL_HADAMARD])
-    conflict = _l1_verdict(f.n, float(final_l1))
+    # a bijection's final support is N^2, which neither candidate l1 form describes
+    conflict = _l1_verdict(f.n, measures.l1_coherence(final_rho)) if f.s else None
     all_ok = (
         all(check.ok for check in checks)
         and all(row["ok"] for row in deltas)
-        and conflict["confirmed"] == L1_QUARTER_FORM
+        and (conflict is None or conflict["confirmed"] == L1_QUARTER_FORM)
     )
 
     doc = {
@@ -437,7 +432,7 @@ def cmd_recover(args) -> int:
 
 def cmd_sweep(args) -> int:
     panel, panel_config = _build_panel(args)
-    _require_n(args.n_max, MAX_CLOSED_FORM_BITS, "closed-form sweep", "--n-max")
+    _require_n(args.n_max, MAX_ORACLE_BITS, "closed-form sweep", "--n-max")
     rows = []
     for n in range(1, args.n_max + 1):
         dim = 1 << n
@@ -580,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="cross-check dense values against closed forms")
     _add_common(verify_p)
-    verify_p.add_argument("--s", default=None, help="hidden mask as an n-bit string (nonzero)")
+    verify_p.add_argument("--s", default=None, help="hidden mask as an n-bit string; all zeros runs a bijection")
     verify_p.set_defaults(handler=cmd_verify)
 
     recover_p = sub.add_parser("recover", help="repeated mask recovery with query statistics")

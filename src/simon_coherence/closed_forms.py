@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .measures import DEFAULT_PANEL, L1, CoherenceMeasure, uniform_superposition_coherence
 from .simon import Stage
-from .tolerances import MAX_CLOSED_FORM_BITS
+from .tolerances import MAX_ORACLE_BITS
 
 __all__ = [
     "REGIME_PRODUCTION",
@@ -61,8 +61,8 @@ class RegimeVerdict:
 def _require_dim(dim: int) -> None:
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"dimension must be a power of two at least 2, got {dim}")
-    if dim > 1 << MAX_CLOSED_FORM_BITS:
-        raise ValueError(f"dimension exceeds 2^{MAX_CLOSED_FORM_BITS}: {dim}")
+    if dim > 1 << MAX_ORACLE_BITS:
+        raise ValueError(f"dimension exceeds 2^{MAX_ORACLE_BITS}: {dim}")
 
 
 def support(stage: Stage, n: int, s: int) -> int:

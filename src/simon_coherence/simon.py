@@ -358,10 +358,11 @@ def _parse_header(header_line: str) -> tuple[int, int]:
     header = header_line.split()
     if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("s="):
         raise FunctionTableError(1, f"expected header 'n=<int> s=<bits>', got {header_line!r}")
-    try:
-        n = int(header[0][2:])
-    except ValueError:
-        raise FunctionTableError(1, f"invalid n in header: {header[0][2:]!r}") from None
+    n_text = header[0][2:]
+    # int() would also read "0_2", "+2" and non-ASCII digits; the bits are ASCII 0/1
+    if not (n_text.isascii() and n_text.isdigit()):
+        raise FunctionTableError(1, f"invalid n in header: {n_text!r}")
+    n = int(n_text)
     try:
         _require_oracle_bits(n)
     except ValueError as exc:

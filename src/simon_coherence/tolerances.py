@@ -21,6 +21,5 @@ class Tolerances:
 TOL = Tolerances()
 
 # Largest register size n each route accepts.
-MAX_ORACLE_BITS = 20       # function tables, generated oracles and the circuit: 2^n entries
-MAX_CLOSED_FORM_BITS = 20  # closed forms, checked up to dimension 2^n
+MAX_ORACLE_BITS = 20       # function tables, generated oracles, the circuit and its closed forms: 2^n entries
 MAX_DENSE_QUBITS = 5       # density matrix on a stage's support, up to 2^(2n) square

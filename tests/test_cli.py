@@ -341,6 +341,31 @@ def test_verify_decides_l1_from_its_own_final_stage(capsys, n):
         assert row["matches"] == conflict["confirmed"] == "N^2/4-1"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mask", ["drawn", "zero"])
+def test_verify_checks_every_stage_as_run_does(capsys, n, mask):
+    # one staged check: each verify row is run --dense on's values at that stage
+    argv = ["--n", str(n), "--seed", "3"] + (["--s", "0" * n] if mask == "zero" else [])
+    code, ran = run_json(capsys, ["run", *argv, "--dense", "on"])
+    assert code == EXIT_OK
+    code, doc = run_json(capsys, ["verify", *argv])
+    assert code == EXIT_OK and doc["ok"] is True
+    assert [row["stage"] for row in doc["checks"]] == [
+        stage for stage in STAGE_ORDER for _ in range(len(DEFAULT_PANEL))
+    ]
+    for row in doc["checks"]:
+        entry = stage_entry(ran, row["stage"])
+        assert (row["support"], row["closed_form_support"]) == (entry["support"], entry["closed_form_support"])
+        assert row["values"] == {
+            value["method"]: value["value"] for value in entry["values"]
+            if (value["measure"], value["params"]) == (row["measure"], row["params"])
+        }
+    if mask == "zero":
+        assert doc["l1_conflict"] is None
+    else:
+        assert doc["l1_conflict"]["confirmed"] == "N^2/4-1"
+
+
 def test_verify_simulates_one_circuit(capsys, monkeypatch):
     calls = []
     run_stages = cli.run_stages
@@ -358,7 +383,7 @@ def test_verify_simulates_one_circuit(capsys, monkeypatch):
 
 @pytest.mark.parametrize("measures_flag", ["skew_info", "tsallis,l1p,skew_info,l1"])
 def test_verify_builds_one_density_matrix_per_verified_stage(capsys, monkeypatch, measures_flag):
-    # the l1 verdict reads the final stage's dense l1, or its matrix, from the checks
+    # the l1 verdict reads the final stage's matrix from the staged check
     built = []
     density_of = cli.density_of
 
@@ -370,7 +395,8 @@ def test_verify_builds_one_density_matrix_per_verified_stage(capsys, monkeypatch
     for n in (1, 3, 5):
         code, doc = run_json(capsys, ["verify", "--n", str(n), "--seed", "4", "--measures", measures_flag])
         assert code == EXIT_OK and doc["l1_conflict"]["confirmed"] == "N^2/4-1"
-        assert built == [1 << n, 1 << n, (1 << n) ** 2 // 4]
+        # initial, hadamard, oracle, final_hadamard, post_measure
+        assert built == [1, 1 << n, 1 << n, (1 << n) ** 2 // 4, (1 << n) // 2]
         built.clear()
 
 
@@ -445,12 +471,16 @@ def test_verify_rows_show_a_wrong_support_that_no_value_shows(capsys, monkeypatc
 
 
 def test_verify_fails_when_a_closed_form_delta_disagrees(capsys, monkeypatch):
-    exact = closed_forms.coherence_delta
+    # at n = 3 the hadamard (and oracle) stage matrices are 8 x 8 and the final
+    # stage's 16 x 16: each skew_info check moves by 0.9e-9, inside the
+    # tolerance, but the delta moves by 1.8e-9, outside it
+    exact = measures.dense_coherence
+    shift = {8: -0.9e-9, 16: 0.9e-9}
 
-    def perturbed(dim, measure):
-        return exact(dim, measure) + (1e-6 if measure == SKEW_INFO else 0.0)
+    def perturbed(rho, measure):
+        return exact(rho, measure) + (shift.get(rho.shape[0], 0.0) if measure == SKEW_INFO else 0.0)
 
-    monkeypatch.setattr(closed_forms, "coherence_delta", perturbed)
+    monkeypatch.setattr(measures, "dense_coherence", perturbed)
     code, doc = run_json(capsys, ["verify", "--n", "3", "--seed", "5"])
     assert code == EXIT_MISMATCH
     assert doc["ok"] is False
@@ -461,8 +491,8 @@ def test_verify_fails_when_a_closed_form_delta_disagrees(capsys, monkeypatch):
 def test_verify_argument_errors(capsys):
     code, _, err = run_cli(capsys, ["verify", "--seed", "0"])
     assert code == EXIT_USAGE and "--n is required" in err
-    code, _, err = run_cli(capsys, ["verify", "--n", "2", "--s", "00", "--seed", "0"])
-    assert code == EXIT_USAGE and "nonzero" in err
+    code, doc = run_json(capsys, ["verify", "--n", "2", "--s", "00", "--seed", "0"])
+    assert code == EXIT_OK and doc["ok"] is True and doc["l1_conflict"] is None
     code, _, err = run_cli(capsys, ["verify", "--n", "6", "--seed", "0"])
     assert code == EXIT_CAPABILITY
 

@@ -23,7 +23,7 @@ from simon_coherence import (
     tsallis,
     uniform_superposition_coherence,
 )
-from simon_coherence.tolerances import MAX_CLOSED_FORM_BITS
+from simon_coherence.tolerances import MAX_ORACLE_BITS
 
 SPOT_CHECK_MEASURES = DEFAULT_PANEL + (L1, tsallis(0.3), tsallis(1.3), l1p(1.5))
 
@@ -134,7 +134,7 @@ def test_support_table_gives_each_stage_its_closed_form():
         assert at[Stage.POST_MEASURE] == hadamard_stage_coherence(dim // 2, measure)
 
 
-@pytest.mark.parametrize("n", [0, MAX_CLOSED_FORM_BITS + 1])
+@pytest.mark.parametrize("n", [0, MAX_ORACLE_BITS + 1])
 def test_support_table_rejects_bad_register_sizes(n):
     with pytest.raises(ValueError):
         support(Stage.HADAMARD, n, 0)
@@ -169,7 +169,7 @@ def test_final_stage_l1_uses_quarter_form():
 def test_regime_thresholds():
     assert classify_regime(2).regime == REGIME_DEPLETION
     assert classify_regime(4).regime == REGIME_NEUTRAL
-    for n in range(3, MAX_CLOSED_FORM_BITS + 1):
+    for n in range(3, MAX_ORACLE_BITS + 1):
         assert classify_regime(1 << n).regime == REGIME_PRODUCTION
 
 
@@ -190,5 +190,5 @@ def test_delta_sign_flips_only_at_four():
     for measure in SPOT_CHECK_MEASURES:
         assert coherence_delta(2, measure) < 0.0, measure.label()
         assert coherence_delta(4, measure) == 0.0, measure.label()
-        for n in range(3, MAX_CLOSED_FORM_BITS + 1):
+        for n in range(3, MAX_ORACLE_BITS + 1):
             assert coherence_delta(1 << n, measure) > 0.0, measure.label()

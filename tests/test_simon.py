@@ -798,10 +798,9 @@ def reference_parse_function_table(text: str) -> SimonFunction:
     header = lines[0].split()
     if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("s="):
         raise FunctionTableError(1, f"expected header 'n=<int> s=<bits>', got {lines[0]!r}")
-    try:
-        n = int(header[0][2:])
-    except ValueError:
-        raise FunctionTableError(1, f"invalid n in header: {header[0][2:]!r}") from None
+    if not (header[0][2:].isascii() and header[0][2:].isdigit()):
+        raise FunctionTableError(1, f"invalid n in header: {header[0][2:]!r}")
+    n = int(header[0][2:])
     if not 1 <= n <= MAX_ORACLE_BITS:
         raise FunctionTableError(1, f"n must lie in [1, {MAX_ORACLE_BITS}], got {n}")
     s_bits = header[1][2:]
@@ -966,6 +965,13 @@ def test_function_table_header_errors():
     assert exc.value.line == 1
     with pytest.raises(FunctionTableError):
         parse_function_table("n=2 s=111\n")  # mask width mismatch
+    # int() reads each of these n as 2, but the header takes ASCII decimal digits only
+    body = "00 00\n01 01\n10 10\n11 11\n"
+    for n_text in ("0_2", "+2", "\u0662"):
+        with pytest.raises(FunctionTableError) as exc:
+            parse_function_table(f"n={n_text} s=00\n{body}")
+        assert exc.value.line == 1 and "invalid n in header" in str(exc.value)
+    assert parse_function_table(f"n=2 s=00\n{body}").n == 2
 
 
 def test_function_table_body_errors(f_two_qubit):
