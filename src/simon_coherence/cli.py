@@ -218,7 +218,7 @@ def _staged_checks(f: SimonFunction, seed: int, panel, dense_on: bool):
     stage's density matrix (None when dense is off).  Each stage's matrix is
     built once."""
     stages = run_stages(f)
-    observed, collapsed = measure_second_register(stages[Stage.ORACLE], f, _subseed(seed, 2))
+    observed, collapsed = measure_second_register(stages[Stage.ORACLE], _subseed(seed, 2))
     checks, final_rho = [], None
     for stage, state in [*stages.items(), (Stage.POST_MEASURE, hadamard_first_register(collapsed))]:
         rho = density_of(state) if dense_on else None

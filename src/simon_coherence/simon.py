@@ -71,12 +71,12 @@ class SimonFunction:
     def __post_init__(self) -> None:
         _require_oracle_bits(self.n)
         size = 1 << self.n
-        table = np.asarray(self.table, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "table", table)
+        table = np.asarray(self.table).reshape(-1)
         if table.size != size:
             raise ValueError(f"table must have {size} entries, got {table.size}")
-        if table.size and (table.min() < 0 or table.max() >= size):
+        if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= size:
             raise ValueError("table values must be n-bit integers")
+        object.__setattr__(self, "table", table.astype(np.int64, copy=False))
         if not 0 <= self.s < size:
             raise ValueError(f"s must be an n-bit integer, got {self.s}")
 
@@ -117,38 +117,43 @@ def random_bijection(n: int, seed) -> SimonFunction:
 
 
 def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
-    """Check the table against its declared mask.
+    """Check the table against its declared mask: (True, None), else (False,
+    the diagnostic of ``_pair_violation`` at ``f.s``)."""
+    why = _pair_violation(f.table, f.n, f.s)
+    return why is None, why
 
-    Returns (True, None) on success, else (False, diagnostic) naming the
-    first violating input pair.  Once f(x) = f(x ^ s) holds for every x, some
+
+def _pair_violation(table: np.ndarray, n: int, s: int) -> str | None:
+    """None when f is constant exactly on the pairs {x, x ^ s}, else a diagnostic.
+
+    It names the first x with f(x) != f(x ^ s).  Failing none, some
     f(x) = f(y) with y not in {x, x ^ s} exactly when a value has more than
-    two inputs (more than one for a bijection); the smallest such value is
-    reported, with the first two of its inputs, in increasing order, that do
-    not differ by s.
+    two inputs (more than one for s = 0); it names the smallest such value,
+    with the first two of its inputs, in increasing order, that do not differ
+    by s.
     """
-    n, s = f.n, f.s
     if s:
-        mismatched = np.flatnonzero(f.table != f.table[np.arange(1 << n) ^ s])
+        mismatched = np.flatnonzero(table != table[np.arange(1 << n) ^ s])
         if mismatched.size:
             x = int(mismatched[0])
-            return False, (
-                f"f({int_to_bits(x, n)}) = {int_to_bits(f(x), n)} but "
-                f"f({int_to_bits(x ^ s, n)}) = {int_to_bits(f(x ^ s), n)}; "
+            return (
+                f"f({int_to_bits(x, n)}) = {int_to_bits(int(table[x]), n)} but "
+                f"f({int_to_bits(x ^ s, n)}) = {int_to_bits(int(table[x ^ s]), n)}; "
                 f"expected f(x) = f(x xor s) for s = {int_to_bits(s, n)}"
             )
-    crowded = np.flatnonzero(np.bincount(f.table, minlength=1 << n) > (2 if s else 1))
+    crowded = np.flatnonzero(np.bincount(table, minlength=1 << n) > (2 if s else 1))
     if not crowded.size:
-        return True, None
+        return None
     value = int(crowded[0])
-    inputs = np.flatnonzero(f.table == value)
+    inputs = np.flatnonzero(table == value)
     k = int(np.flatnonzero((inputs[1:] ^ inputs[:-1]) != s)[0])
     a, b = int(inputs[k]), int(inputs[k + 1])
     if s == 0:
-        return False, (
+        return (
             f"declared bijective but f({int_to_bits(a, n)}) = "
             f"f({int_to_bits(b, n)}) = {int_to_bits(value, n)}"
         )
-    return False, (
+    return (
         f"f({int_to_bits(a, n)}) = f({int_to_bits(b, n)}) but "
         f"{int_to_bits(a, n)} xor {int_to_bits(b, n)} != {int_to_bits(s, n)}"
     )
@@ -157,43 +162,39 @@ def validate_function(f: SimonFunction) -> tuple[bool, str | None]:
 def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
     """Reversible oracle |x>|z> -> |x>|z ^ f(x)> on a one-column state, factored.
 
-    The inputs are grouped by value from the table alone; ``f.s`` is never
-    read.  With P0 = f^-1(f(0)) and x_v the smallest input of value v, every
-    preimage set must be x_v ^ P0, and the input column c must repeat its
-    codes on P0 across them: c[x_v ^ p] = c[p].  Then the code at (x, z)
-    moves to column z ^ f(x), and the output is the shift form with base
-    c * 1_P0 and offset x_v in column z ^ v, as for the Hadamard stage, whose
-    column is uniform.  Any other input cannot be factored and raises
+    The mask t is read from P0 = f^-1(f(0)), which must be {0} or {0, t};
+    ``f.s`` is never read.  ``_pair_violation`` at t checks that the preimage
+    sets are the pairs r ^ P0, with r the smaller of each, and the input
+    column c must repeat on P0 across them: c[r ^ p] = c[p].  Then the code at
+    (x, z) moves to column z ^ f(x), and the output is the shift form with
+    base c * 1_P0 and offset r in column z ^ f(r), as for the Hadamard stage,
+    whose column is uniform.  Any other input cannot be factored and raises
     ValueError.  Codes are moved, never combined, so the exponent is kept.
     """
-    _require_circuit_registers(psi, f)
-    if psi.columns.size != 1:
-        raise ValueError(f"the oracle takes a one-column state, got {psi.columns.size} columns")
-    size = 1 << f.n
-    z = int(psi.columns[0])
-    targets = f.table ^ z if z else f.table
-    # the smallest input of each target column, or size where no input lands
-    first = np.full(size, size)
-    np.minimum.at(first, targets, np.arange(size))
-    columns = (first < size).nonzero()[0]
-    offsets = first[columns]
-    p0 = (targets == targets[0]).nonzero()[0]
-    # the sets x_v ^ P0 lie in distinct preimage sets, so they are all of them
-    # exactly when they lie in them and hold every input between them
-    cosets = offsets[:, None] ^ p0 if columns.size * p0.size == size else None
-    codes = psi.column(0)
-    if cosets is None or ((targets[cosets] != columns[:, None]) | (codes[cosets] != codes[p0])).any():
-        raise ValueError("the oracle's output does not factor: its preimage sets are not the "
-                         "shifts of f^-1(f(0)) on which the input column repeats")
-    base = np.zeros(size, dtype=np.int8)
-    base[p0] = codes[p0]
-    return StateVector(psi.n_first, psi.n_second, columns, base, offsets, psi.e)
-
-
-def _require_circuit_registers(psi: StateVector, f: SimonFunction) -> None:
     if psi.n_first != f.n or psi.n_second != f.n:
         raise ValueError(f"the circuit of an f on {f.n} bits needs a {f.n}+{f.n} register "
                          f"state, got {psi.n_first}+{psi.n_second}")
+    if psi.columns.size != 1:
+        raise ValueError(f"the oracle takes a one-column state, got {psi.columns.size} columns")
+    size = 1 << f.n
+    p0 = np.flatnonzero(f.table == f.table[0])
+    t = int(p0[-1])
+    why = f"f^-1(f(0)) holds {p0.size} inputs" if p0.size > 2 else _pair_violation(f.table, f.n, t)
+    # the pairs r ^ P0 along axis 1, r the one without t's top bit h; x % h along axis 2
+    pairs = (-1, p0.size, max(1 << t.bit_length() >> 1, 1))
+    codes = psi.column(0)
+    if why is None and (codes.reshape(pairs) != codes[p0][:, None]).any():
+        why = "the input column does not repeat on f^-1(f(0))"
+    if why is not None:
+        raise ValueError(f"the oracle's output does not factor: {why}")
+    reps = np.arange(size).reshape(pairs)[:, 0].reshape(-1)
+    # each pair's r in its target column f(r) ^ z, or size in a column no input reaches
+    first = np.full(size, size)
+    first[f.table[reps] ^ int(psi.columns[0])] = reps
+    columns = np.flatnonzero(first < size)
+    base = np.zeros(size, dtype=np.int8)
+    base[p0] = codes[p0]
+    return StateVector(psi.n_first, psi.n_second, columns, base, first[columns], psi.e)
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
@@ -213,7 +214,7 @@ def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
     }
 
 
-def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[int, StateVector]:
+def measure_second_register(psi: StateVector, seed) -> tuple[int, StateVector]:
     """Born-sample an f-image from the second register and collapse the state.
 
     Each column is drawn by ``born_samples`` in proportion to its count of
@@ -223,7 +224,6 @@ def measure_second_register(psi: StateVector, f: SimonFunction, seed) -> tuple[i
     one-column state with e = log2 of their count, which the ``StateVector``
     check requires to be an integer.
     """
-    _require_circuit_registers(psi, f)
     count = psi.support // psi.columns.size
     j = next(born_samples(np.full(psi.columns.size, count), np.random.default_rng(seed)))
     collapsed = StateVector(psi.n_first, psi.n_second, psi.columns[j:j + 1], psi.column(j),

@@ -139,7 +139,7 @@ def circuit_states(n: int):
     """Every stage, post-measure included, for a two-to-one f and a bijection."""
     for f in (random_two_to_one(n, (1 << n) - 1, n), random_bijection(n, n)):
         stages = run_stages(f)
-        _, collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
+        _, collapsed = measure_second_register(stages[Stage.ORACLE], n)
         yield from stages.values()
         yield hadamard_first_register(collapsed)
 

@@ -186,9 +186,9 @@ def test_run_bijection_has_a_final_closed_form_but_no_regime(capsys):
     assert value_of(stage_entry(doc, "hadamard"), "rel_entropy", "closed_form") == 2.0
 
 
-def keep_two_columns(psi, f, seed):
+def keep_two_columns(psi, seed):
     """A collapse that keeps the observed column and the one beside it."""
-    observed, collapsed = measure_second_register(psi, f, seed)
+    observed, collapsed = measure_second_register(psi, seed)
     j = int(np.searchsorted(psi.columns, observed))
     pair = slice(j - 1, j + 1) if j else slice(0, 2)
     return observed, StateVector(psi.n_first, psi.n_second, psi.columns[pair], psi.base, psi.offsets[pair],

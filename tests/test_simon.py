@@ -16,6 +16,7 @@ from simon_coherence import (
     SimonFunction,
     Stage,
     StateVector,
+    basis_state,
     bits_to_int,
     born_samples,
     first_register_distribution,
@@ -83,6 +84,10 @@ def test_simon_function_validates_shape():
         SimonFunction(2, [0, 1, 2, 4], 1)
     with pytest.raises(ValueError):
         SimonFunction(2, [0, 1, 2, 3], 4)
+    # values that are not integers, or do not fit in int64, are not truncated or wrapped
+    for table in ([0.9, 0.2], [2**63, 0], np.array([2**63, 0], dtype=np.uint64), [2**64, 0]):
+        with pytest.raises(ValueError, match="n-bit integers"):
+            SimonFunction(1, table, 1)
 
 
 def test_random_two_to_one_smallest_case():
@@ -242,8 +247,6 @@ def test_generated_oracles_always_validate(n, seed):
 
 
 def test_oracle_apply_two_qubit_example(f_two_qubit):
-    from simon_coherence import basis_state
-
     after_h = hadamard_first_register(basis_state(2, 2, 0))
     state = oracle_apply(after_h, f_two_qubit)
     expected = np.zeros(16)
@@ -254,8 +257,6 @@ def test_oracle_apply_two_qubit_example(f_two_qubit):
 
 
 def test_oracle_apply_three_qubit_example(f_three_qubit):
-    from simon_coherence import basis_state
-
     after_h = hadamard_first_register(basis_state(3, 3, 0))
     state = oracle_apply(after_h, f_three_qubit)
     weight = 1.0 / (2.0 * math.sqrt(2.0))
@@ -302,8 +303,6 @@ def test_oracle_apply_preserves_magnitude_multiset(f_three_qubit):
 
 
 def test_oracle_apply_rejects_register_mismatch(f_two_qubit):
-    from simon_coherence import basis_state
-
     with pytest.raises(ValueError):
         oracle_apply(basis_state(3, 3, 0), f_two_qubit)
 
@@ -388,7 +387,7 @@ def test_measurement_image_distribution_is_uniform(f_three_qubit):
 def test_measurement_collapses_to_input_pair(f_two_qubit):
     stages = run_stages(f_two_qubit)
     for seed in range(6):
-        observed, collapsed = measure_second_register(stages[Stage.ORACLE], f_two_qubit, seed)
+        observed, collapsed = measure_second_register(stages[Stage.ORACLE], seed)
         assert observed in {f_two_qubit(x) for x in range(4)}
         pair = [x for x in range(4) if f_two_qubit(x) == observed]
         expected = np.zeros(16)
@@ -401,7 +400,7 @@ def test_post_measure_state_matches_masked_transform(f_three_qubit):
     """H applied to the collapsed pair lands on the sign pattern (-1)^(x.y) over y.s=0."""
     stages = run_stages(f_three_qubit)
     for seed in range(4):
-        observed, collapsed = measure_second_register(stages[Stage.ORACLE], f_three_qubit, seed)
+        observed, collapsed = measure_second_register(stages[Stage.ORACLE], seed)
         post = hadamard_first_register(collapsed)
         x = min(x for x in range(8) if f_three_qubit(x) == observed)
         expected = np.zeros(64)
@@ -413,22 +412,16 @@ def test_post_measure_state_matches_masked_transform(f_three_qubit):
 
 def test_measurement_is_seed_deterministic(f_three_qubit):
     stages = run_stages(f_three_qubit)
-    first = measure_second_register(stages[Stage.ORACLE], f_three_qubit, 123)
-    second = measure_second_register(stages[Stage.ORACLE], f_three_qubit, 123)
+    first = measure_second_register(stages[Stage.ORACLE], 123)
+    second = measure_second_register(stages[Stage.ORACLE], 123)
     assert first[0] == second[0]
     assert np.array_equal(first[1].amps, second[1].amps)
-
-
-def test_measurement_rejects_register_mismatch(f_two_qubit, f_three_qubit):
-    stages = run_stages(f_three_qubit)
-    with pytest.raises(ValueError):
-        measure_second_register(stages[Stage.ORACLE], f_two_qubit, 0)
 
 
 def test_measurement_on_bijection_collapses_to_single_input():
     f = random_bijection(2, seed=8)
     stages = run_stages(f)
-    observed, collapsed = measure_second_register(stages[Stage.ORACLE], f, 1)
+    observed, collapsed = measure_second_register(stages[Stage.ORACLE], 1)
     mags = np.abs(collapsed.amps)
     assert (mags > 1e-12).sum() == 1
     assert observed == f(int(np.argmax(mags)) >> 2)
@@ -558,7 +551,7 @@ def test_layers_match_the_full_grid_reference_bit_for_bit(n):
         blocks, observed, collapsed, post = block_circuit(f, n)
         for psi, block in zip(stages.values(), blocks, strict=True):
             assert_same_block(psi, block)
-        got_observed, got_collapsed = measure_second_register(stages[Stage.ORACLE], f, n)
+        got_observed, got_collapsed = measure_second_register(stages[Stage.ORACLE], n)
         assert got_observed == observed
         assert_same_block(got_collapsed, collapsed)
         assert_same_block(hadamard_first_register(got_collapsed), post)
@@ -643,6 +636,26 @@ def test_oracle_apply_rejects_what_it_cannot_factor():
         oracle_apply(column, SimonFunction(2, [0, 0, 1, 1], 0b01))
 
 
+def test_oracle_apply_factors_exactly_the_tables_some_mask_validates():
+    # the oracle reads its mask from f^-1(f(0)); it must accept a table exactly
+    # when validate_function accepts it at some mask, and then move every code
+    # as the full-grid scatter does
+    every_small = ((n, table) for n in (1, 2) for table in itertools.product(range(1 << n), repeat=1 << n))
+    near_valid = ((n, table) for n, table, _ in near_valid_tables(np.random.default_rng(36), 4000))
+    hadamards = {n: hadamard_first_register(basis_state(n, n)) for n in range(1, 7)}
+    factored = rejected = 0
+    for n, table in itertools.chain(every_small, near_valid):
+        f, hadamard = SimonFunction(n, table, 0), hadamards[n]
+        if any(validate_function(SimonFunction(n, table, t)) == (True, None) for t in range(1 << n)):
+            assert np.array_equal(bits(oracle_apply(hadamard, f).amps), bits(reference_oracle(hadamard.amps, f)))
+            factored += 1
+        else:
+            with pytest.raises(ValueError, match="does not factor"):
+                oracle_apply(hadamard, f)
+            rejected += 1
+    assert factored > 500 and rejected > 500
+
+
 class Maskless:
     """A table without a readable mask: reading ``s`` raises."""
 
@@ -654,10 +667,11 @@ class Maskless:
         raise AssertionError("the mask was read")
 
 
-@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("n", [1, 3, 6, 20])
 def test_oracle_apply_never_reads_the_mask(n):
-    for f in (random_two_to_one(n, 1, n), random_bijection(n, n)):
-        hadamard = run_stages(f)[Stage.HADAMARD]
+    drawn = random_two_to_one(n, int(np.random.default_rng(n).integers(1, 1 << n)), n)
+    hadamard = hadamard_first_register(basis_state(n, n))
+    for f in (drawn, random_bijection(n, n)):
         got, expected = oracle_apply(hadamard, Maskless(f)), oracle_apply(hadamard, f)
         assert np.array_equal(got.columns, expected.columns) and np.array_equal(got.offsets, expected.offsets)
         assert np.array_equal(got.base, expected.base) and got.e == expected.e
@@ -749,9 +763,8 @@ def test_oracle_stage_columns_are_the_images_of_f(n):
 def test_measurement_of_random_states_matches_the_projection(n):
     rng = np.random.default_rng(200 + n)
     size = 1 << n
-    f = random_two_to_one(n, 1, n)
     for seed, psi in enumerate(random_block_states(rng, n)):
-        observed, collapsed = measure_second_register(psi, f, seed)
+        observed, collapsed = measure_second_register(psi, seed)
         grid = psi.amps.reshape(size, size)
         assert np.abs(grid[:, observed]).sum() > 0.0
         projected = np.zeros_like(grid)
@@ -766,7 +779,7 @@ def test_circuit_layers_never_build_the_full_vector():
     n = 8
     f = random_two_to_one(n, 0b10110101, 8)
     stages = run_stages(f)
-    _, collapsed = measure_second_register(stages[Stage.ORACLE], f, 8)
+    _, collapsed = measure_second_register(stages[Stage.ORACLE], 8)
     states = [*stages.values(), collapsed, hadamard_first_register(collapsed)]
     for psi in states:
         assert psi.support == 1 << psi.e
@@ -999,8 +1012,8 @@ def test_function_table_rejects_inconsistent_mask(f_two_qubit):
 def test_born_weights_match_the_full_grid_reference_bit_for_bit():
     # the draw is rng.choice's over the column weights sum k^2 2^-e, each rounded once
     rng = np.random.default_rng(13)
-    for f in [random_two_to_one(n, 1, n) for n in (2, 4, 6)]:
-        n, size = f.n, 1 << f.n
+    for n in (2, 4, 6):
+        size = 1 << n
         for empty in (0, 1, size // 2, size - 2, size - 1):
             grid, e = random_codes(rng, n, n, size - empty)
             psi = flat_state(n, n, grid, e)
@@ -1011,5 +1024,5 @@ def test_born_weights_match_the_full_grid_reference_bit_for_bit():
             support = np.flatnonzero(probs > 0.0)
             weights = probs[support] / probs[support].sum()
             for seed in range(n, n + 10):
-                observed, _ = measure_second_register(psi, f, seed)
+                observed, _ = measure_second_register(psi, seed)
                 assert observed == support[np.random.default_rng(seed).choice(support.size, p=weights)]
