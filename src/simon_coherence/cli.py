@@ -251,9 +251,15 @@ def _cross_checks(stage: Stage, state, f: SimonFunction, panel, rho) -> list[_Ch
     unless it is None, pure, closed form at the support
     ``closed_forms.support`` gives the stage), and the spread between them.
     It is ok when the state has that support and the spread is below
-    TOL.cross_method."""
+    TOL.cross_method.  The oracle stage must also hold f's graph: in the
+    shift form, f maps every nonzero row of every occupied column z (the
+    base's nonzero rows moved by z's offset) to z.  With the support right
+    and the columns distinct, each column then holds exactly f^-1(z)."""
     closed_support = closed_forms.support(stage, f.n, f.s)
     exact = state.support == closed_support
+    if stage is Stage.ORACLE:
+        rows = np.flatnonzero(state.base)[:, None] ^ state.offsets
+        exact = exact and not state.phase and bool((f.table[rows] == state.columns).all())
     checks = []
     for measure in panel:
         values = {} if rho is None else {METHOD_DENSE: measures.dense_coherence(rho, measure)}

@@ -45,10 +45,11 @@ _SAMPLE_BLOCK = 32
 class StateVector:
     """Exact real amplitudes k * 2^(-e/2) over the joint register basis, held factored.
 
-    ``columns`` is the sorted array of second-register values z whose column
-    holds amplitude; every amplitude outside them is zero.  Every column is
-    the int8 ``base`` column of 2^n_first codes in {0, +-1} moved by its entry
-    o of ``offsets``, which is aligned with ``columns``:
+    ``columns`` is the strictly increasing integer array of second-register
+    values z whose column holds amplitude; every amplitude outside them is
+    zero.  Every column is the int8 ``base`` column of 2^n_first codes in
+    {0, +-1} moved by its entry o of ``offsets``, which is aligned with
+    ``columns``:
 
     * in the shift form (``phase`` false) column j is X^o base, that is
       k[x, j] = base[x ^ o];
@@ -60,10 +61,9 @@ class StateVector:
     Hadamard layer and a character times its transform after it.  The norm
     is checked exactly, as the integer identity ``support`` = 2^e, where
     ``support``, the number of nonzero codes (each +-1, so sum k^2), is the
-    base's count of them once for every column, counted once here.  ``k``,
-    the ``(2^n_first, len(columns))`` grid of codes, and ``amps``, the flat
-    joint vector, are built on first use and kept; no layer of the circuit
-    reads them.
+    base's count of them once for every column, counted once here.
+    ``amps``, the flat joint vector, is built on first use and kept; no layer
+    of the circuit reads it.
     """
 
     n_first: int
@@ -77,20 +77,28 @@ class StateVector:
 
     def __post_init__(self) -> None:
         _require_registers(self.n_first, self.n_second)
-        base, offsets = self.base, self.offsets
+        columns, base, offsets = self.columns, self.base, self.offsets
+        if columns.ndim != 1 or columns.dtype.kind not in "iu":
+            raise ValueError(f"columns must be a 1-D integer array, got {columns.dtype} "
+                             f"of shape {columns.shape}")
+        # strictly increasing, so the first and last bound every column
+        if columns.size and (columns[0] < 0 or columns[-1] >> self.n_second
+                             or (columns.size > 1 and (columns[1:] <= columns[:-1]).any())):
+            raise ValueError(f"columns must be strictly increasing {self.n_second}-bit "
+                             "second-register values")
         if base.dtype != np.int8 or base.shape != (1 << self.n_first,):
             raise ValueError(f"base must hold {1 << self.n_first} int8 codes, got {base.dtype} "
                              f"codes of shape {base.shape}")
-        if offsets.shape != self.columns.shape or offsets.ndim != 1:
+        if offsets.shape != columns.shape:
             raise ValueError(f"offsets of shape {offsets.shape} do not match columns of shape "
-                             f"{self.columns.shape}")
+                             f"{columns.shape}")
         if np.bitwise_or.reduce(offsets) >> self.n_first:
             raise ValueError(f"offsets must be {self.n_first}-bit first-register values")
-        for array in (self.columns, base, offsets):
+        for array in (columns, base, offsets):
             array.flags.writeable = False
         if np.minimum.reduce(base) < -1 or np.maximum.reduce(base) > 1:
             raise ValueError("codes k must lie in {0, +-1}")
-        support = int(np.count_nonzero(base)) * self.columns.size
+        support = int(np.count_nonzero(base)) * columns.size
         object.__setattr__(self, "support", support)
         if self.e < 0 or support != 1 << self.e:
             raise ValueError(f"state not normalized: sum k^2 = {support}, 2^e = 2^{self.e}")
@@ -106,15 +114,10 @@ class StateVector:
         return self._codes(self.offsets[j:j + 1]).reshape(-1)
 
     @cached_property
-    def k(self) -> np.ndarray:
-        """The C-contiguous int8 ``(2^n_first, len(columns))`` grid of codes."""
-        return self._codes(self.offsets)
-
-    @cached_property
     def amps(self) -> np.ndarray:
         """The flat joint float64 amplitude vector k * unit, zero outside ``columns``."""
         grid = np.zeros((1 << self.n_first, 1 << self.n_second))
-        grid[:, self.columns] = np.multiply(self.k, self.unit, dtype=np.float64)
+        grid[:, self.columns] = np.multiply(self._codes(self.offsets), self.unit, dtype=np.float64)
         return grid.reshape(-1)
 
     def _codes(self, offsets: np.ndarray) -> np.ndarray:
@@ -284,16 +287,27 @@ def first_register_distribution(psi: StateVector) -> np.ndarray:
 def born_samples(weights: np.ndarray, rng: np.random.Generator):
     """Endless Born samples: indices of ``weights`` drawn in proportion to them.
 
-    ``weights`` may be any nonnegative integers or floats; only the positive
-    ones can be drawn.  Each sample is what ``Generator.choice`` draws from
-    the positive weights normalised, a uniform double located in their
+    ``weights`` may be any finite nonnegative integers or floats with a
+    positive finite sum; any others raise ValueError.  Only the positive ones
+    can be drawn.  Each sample is what ``Generator.choice`` draws from the
+    positive weights normalised, a uniform double located in their
     cumulative sums, so the stream is the same.  Weights scaled by a power
     of two normalise to the same doubles and give the same stream.  The
-    doubles are drawn a block at a time, and the weights summed once.
+    doubles are drawn a block at a time, and the weights checked and summed
+    once, when the stream is made.
     """
-    support = np.flatnonzero(weights > 0)
-    cdf = np.cumsum(weights[support] / weights[support].sum())
+    support = np.flatnonzero(weights)
+    positive = weights[support]
+    # a NaN or a negative weight leaves no sum, and an infinity an infinite one
+    total = positive.sum() if weights.min() >= 0 else math.nan
+    if not 0 < total < math.inf:
+        raise ValueError("Born weights must be finite and nonnegative, with a positive finite sum")
+    cdf = np.cumsum(positive / total)
     cdf /= cdf[-1]
+    return _draws(support, cdf, rng)
+
+
+def _draws(support: np.ndarray, cdf: np.ndarray, rng: np.random.Generator):
     while True:
         yield from support[cdf.searchsorted(rng.random(_SAMPLE_BLOCK), side="right")].tolist()
 

@@ -30,6 +30,12 @@ def dot_mod2(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def codes(psi: StateVector) -> np.ndarray:
+    """The int8 ``(2^n_first, len(columns))`` grid of psi's codes: column j is
+    the base moved by ``offsets[j]``."""
+    return psi._codes(psi.offsets)
+
+
 def second_register_distribution(psi: StateVector) -> np.ndarray:
     """Born probabilities p[z] = sum_x k(x, z)^2 2^-e over second-register values,
     exact: every column holds the base's count of codes."""
@@ -100,7 +106,7 @@ def random_codes(rng: np.random.Generator, n_first: int, n_second: int, filled: 
     """(joint code grid, e) of ``random_factored_state``."""
     psi = random_factored_state(rng, n_first, n_second, filled)
     grid = np.zeros((1 << n_first, 1 << n_second), dtype=np.int8)
-    grid[:, psi.columns] = psi.k
+    grid[:, psi.columns] = codes(psi)
     return grid, psi.e
 
 

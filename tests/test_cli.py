@@ -404,8 +404,7 @@ def test_no_product_layer_builds_the_grid_above_n_5(capsys, monkeypatch):
     def grid(psi):
         raise AssertionError(f"a grid was built at n = {psi.n_first}")
 
-    for name in ("k", "amps"):
-        monkeypatch.setattr(StateVector, name, property(grid))
+    monkeypatch.setattr(StateVector, "amps", property(grid))
     for argv in (["run", "--n", "12", "--seed", "1"], ["run", "--n", "12", "--s", "0" * 12, "--seed", "1"],
                  ["recover", "--n", "12", "--trials", "3", "--seed", "1"]):
         code, _ = run_json(capsys, argv)

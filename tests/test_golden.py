@@ -1,10 +1,15 @@
 """Byte-for-byte stdout of commands whose output must not drift.
 
-Each fixture under ``tests/golden`` is the stdout of the argv beside it.  A
-change that alters one on purpose regenerates it with the same argv and says
-why in CHANGES.md.
+Each fixture under ``tests/golden`` is the stdout of the argv beside it in
+``GOLDEN_ARGV``, checked twice: through ``main`` in this process, and in a
+fresh interpreter that inherits the environment, so no state one command
+leaves in the process can hide a drift.  A new golden is one ``GOLDEN_ARGV``
+entry plus its fixture.  A change that alters one on purpose regenerates it
+with the same argv and says why in CHANGES.md.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,9 +44,21 @@ GOLDEN_ARGV = {
 }
 
 
+def assert_golden(fixture: str, code: int, out: bytes, err: str) -> None:
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == (GOLDEN_DIR / fixture).read_bytes()
+
+
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_ARGV))
 def test_stdout_matches_golden_bytes(capsys, fixture):
-    assert main(GOLDEN_ARGV[fixture]) == EXIT_OK
+    code = main(GOLDEN_ARGV[fixture])
     captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN_DIR / fixture).read_bytes()
+    assert_golden(fixture, code, captured.out.encode(), captured.err)
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_ARGV))
+def test_fresh_process_stdout_matches_golden_bytes(fixture):
+    done = subprocess.run([sys.executable, "-m", "simon_coherence.cli", *GOLDEN_ARGV[fixture]],
+                          capture_output=True, check=False)
+    assert_golden(fixture, done.returncode, done.stdout, done.stderr.decode())

@@ -10,6 +10,7 @@ from scipy.linalg import fractional_matrix_power
 
 from conftest import (
     circuit_states,
+    codes,
     flat_state,
     random_exact_state,
     random_mixed_density,
@@ -318,9 +319,9 @@ def test_pure_l1_and_skew_info_are_within_ulps_of_exact_values(n):
     for psi in circuit_states(n):
         # the amplitudes k 2^(-e/2) give rational l1 = ((sum |k|)^2 - sum k^2) / 2^e
         # and skew_info = 1 - sum k^4 / 2^(2e)
-        codes = [int(k) for k in psi.k.reshape(-1) if k != 0]
-        exact_l1 = Fraction(sum(map(abs, codes)) ** 2 - sum(k * k for k in codes), 1 << psi.e)
-        exact_skew = 1 - Fraction(sum(k**4 for k in codes), 1 << 2 * psi.e)
+        nonzero = [int(k) for k in codes(psi).reshape(-1) if k != 0]
+        exact_l1 = Fraction(sum(map(abs, nonzero)) ** 2 - sum(k * k for k in nonzero), 1 << psi.e)
+        exact_skew = 1 - Fraction(sum(k**4 for k in nonzero), 1 << 2 * psi.e)
         assert ulps_from(pure_state_coherence(psi, L1), exact_l1) <= 0.5
         assert ulps_from(pure_state_coherence(psi, SKEW_INFO), exact_skew) <= 0.5
 
@@ -329,11 +330,11 @@ def test_pure_route_reads_the_support_of_the_occupied_columns():
     psi = run_stages(random_two_to_one(4, 0b1010, 6))[Stage.FINAL_HADAMARD]
     # the norm check counts the support once, on the codes of the occupied
     # columns: the final stage's 16 x 8 block rather than all 256 amplitudes
-    assert psi.k.shape == (16, 8) and vars(psi)["support"] == 64 and psi.unit == 0.125
+    assert codes(psi).shape == (16, 8) and vars(psi)["support"] == 64 and psi.unit == 0.125
     values = [pure_state_coherence(psi, measure) for measure in ALL_KINDS_PANEL]
     # the state of the full flat code vector has the same support, so the same values
     grid = np.zeros((16, 16), dtype=np.int8)
-    grid[:, psi.columns] = psi.k
+    grid[:, psi.columns] = codes(psi)
     full = flat_state(4, 4, grid, psi.e)
     assert values == [pure_state_coherence(full, measure) for measure in ALL_KINDS_PANEL]
 

@@ -7,6 +7,7 @@ set of survivors is asserted exactly, so the test fails both when a check
 weakens and when a hole closes.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -57,9 +58,10 @@ VERIFY = ("verify", "--n", "4", "--s", "1010")
 RECOVER = ("recover", "--n", "6", "--trials", "20")
 
 ROWS = {
-    # no measure and no Born law reads the offsets; the column-block reference does
-    ("offset", RUN): "survives",
-    ("offset", VERIFY): "survives",
+    # the oracle stage's column no longer holds f^-1(z), which the staged check reads;
+    # recover runs no staged check, and no Born law reads the offsets
+    ("offset", RUN): "exit 1",
+    ("offset", VERIFY): "exit 1",
     ("offset", RECOVER): "survives",
     # the first layer's column no longer repeats on f^-1(f(0)), so the oracle refuses it
     ("butterfly", RUN): "ValueError",
@@ -98,3 +100,15 @@ def test_the_column_block_reference_catches_the_offset_mutant(monkeypatch):
     oracle_block = block_circuit(f, 4)[0][2]
     with pytest.raises(AssertionError):
         assert_same_block(run_stages(f)[Stage.ORACLE], oracle_block)
+
+
+@pytest.mark.parametrize("mask", ["1010", "0000"])
+def test_the_graph_check_flags_the_moved_column_at_the_oracle_stage_alone(capsys, monkeypatch, mask):
+    # the moved column keeps every support, measure and Born law, so only the
+    # oracle stage's graph check can see it, for a drawn mask and a bijection
+    monkeypatch.setattr(simon, "oracle_apply", offset_off_by_one_bit(simon.oracle_apply))
+    code = cli.main(["run", "--n", "4", "--s", mask, "--seed", "2", "--dense", "off"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_MISMATCH
+    assert {row["stage"] for row in doc["discrepancies"] if row["flagged"]} == {"oracle"}
+    assert all(stage["support"] == stage["closed_form_support"] for stage in doc["stages"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from simon_coherence import (
     run_stages,
     solve_nullspace,
 )
-from conftest import dot_mod2
+from conftest import codes, dot_mod2
 
 
 def brute_force_nullspace(n: int, rows) -> list[int]:
@@ -159,12 +160,21 @@ def test_block_sampler_draws_what_single_choice_calls_draw(seed):
         assert list(itertools.islice(born_samples(probs, np.random.default_rng(seed + 100)), 150)) == expected
     # integer weights draw what the same weights scaled by 2^-e draw
     oracle = stages[Stage.ORACLE]
-    column_squares = np.add.reduce(oracle.k * oracle.k, axis=0, dtype=np.int32)
+    column_squares = np.add.reduce(codes(oracle) * codes(oracle), axis=0, dtype=np.int32)
     counts = np.random.default_rng(seed).integers(0, 9, 37, dtype=np.int32)
     for weights, e in ((column_squares, oracle.e), (counts, 3 + seed)):
         integer, scaled = [list(itertools.islice(born_samples(w, np.random.default_rng(seed + 100)), 150))
                            for w in (weights, np.ldexp(weights, -e))]
         assert integer == scaled
+
+
+def test_born_samples_rejects_weights_it_cannot_normalise():
+    # all zero, negative, NaN and infinite weights, refused before any draw
+    for weights in ([0, 0], [-1, 1], [math.nan, 1], [1, 2, math.inf]):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="weights"):
+            born_samples(np.array(weights), rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 # ------------------------------------------------------------------- recovery

@@ -33,6 +33,7 @@ from simon_coherence import (
 )
 from simon_coherence.tolerances import MAX_ORACLE_BITS
 from conftest import (
+    codes,
     dot_mod2,
     flat_state,
     parities,
@@ -532,7 +533,7 @@ def block_circuit(f: SimonFunction, seed):
 
 def assert_same_block(psi: StateVector, block: Block) -> None:
     assert np.array_equal(psi.columns, block.columns) and psi.e == block.e
-    assert psi.k.dtype == np.int8 and psi.k.flags.c_contiguous and np.array_equal(psi.k, block.k)
+    assert np.array_equal(codes(psi), block.k)
 
 
 def circuit_tables(n: int):
@@ -690,7 +691,7 @@ def test_large_circuits_keep_the_closed_form_support_and_born_law(n):
         allowed = parities(ys & f.s, n) == 0
         probs = first_register_distribution(final)
         assert np.array_equal(probs, np.where(allowed, 1.0 / np.count_nonzero(allowed), 0.0))
-        assert not {"k", "amps"} & set(vars(final))
+        assert "amps" not in vars(final)
 
 
 # ------------------------------------------------- column blocks vs matrices
@@ -716,11 +717,10 @@ def oracle_matrix(f: SimonFunction) -> np.ndarray:
 
 
 def assert_block_holds(psi: StateVector) -> None:
-    """columns sorted and distinct, k their contiguous int8 codes, zeros elsewhere."""
+    """columns sorted and distinct, their codes times ``unit``, zeros elsewhere."""
     grid = psi.amps.reshape(1 << psi.n_first, 1 << psi.n_second)
     assert np.all(np.diff(psi.columns) > 0)
-    assert psi.k.dtype == np.int8 and psi.k.flags.c_contiguous
-    assert np.array_equal(grid[:, psi.columns], psi.k.astype(np.float64) * psi.unit)
+    assert np.array_equal(grid[:, psi.columns], codes(psi).astype(np.float64) * psi.unit)
     assert not np.delete(grid, psi.columns, axis=1).any()
 
 
@@ -785,7 +785,7 @@ def test_circuit_layers_never_build_the_full_vector():
         assert psi.support == 1 << psi.e
         first_register_distribution(psi)
         second_register_distribution(psi)
-    assert not [psi for psi in states if {"k", "amps"} & set(vars(psi))]
+    assert not [psi for psi in states if "amps" in vars(psi)]
     # one base column of N codes and at most N/2 offsets is the most any stage holds
     assert max(psi.base.size for psi in states) == 1 << n
     assert max(psi.offsets.size for psi in states) == (1 << n) // 2

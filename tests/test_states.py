@@ -23,6 +23,7 @@ from simon_coherence import (
 from simon_coherence import states
 from conftest import (
     circuit_states,
+    codes,
     flat_state,
     random_codes,
     random_exact_state,
@@ -48,6 +49,16 @@ def test_state_vector_rejects_wrong_length():
     for offset in (2, -1):
         with pytest.raises(ValueError, match="offsets"):
             StateVector(1, 1, one, np.array([1, 0], dtype=np.int8), np.array([offset]), 0)
+
+
+def test_state_vector_rejects_columns_that_are_not_strictly_increasing_values():
+    base = np.array([1, 0], dtype=np.int8)
+    # a repeated column passes the norm check (support 2 = 2^1) with half the norm
+    for columns, e in (([0, 0], 1), ([1, 0], 1), ([5], 0), ([-1], 0)):
+        with pytest.raises(ValueError, match="columns"):
+            StateVector(1, 1, np.array(columns), base, np.zeros(len(columns), dtype=np.int64), e)
+    with pytest.raises(ValueError, match="columns"):
+        StateVector(1, 1, np.array([0.0]), base, np.zeros(1, dtype=np.int64), 0)
 
 
 def test_state_vector_rejects_unnormalized():
@@ -89,7 +100,7 @@ def test_state_vector_holds_only_contiguous_int8_blocks():
     psi = StateVector(1, 1, columns, base, offsets, 2)
     assert psi.base is base and psi.columns is columns and psi.offsets is offsets
     assert not (base.flags.writeable or columns.flags.writeable or offsets.flags.writeable)
-    assert psi.k.dtype == np.int8 and psi.k.flags.c_contiguous and psi.k.shape == (2, 2)
+    assert np.array_equal(codes(psi), [[1, 1], [1, 1]])
     block = np.array([1, 1], dtype=np.int8)
     for bad, named in ((block.astype(np.float64), "float64"), (block.astype(np.int16), "int16"),
                        (block.astype(np.uint8), "uint8"), (block.reshape(2, 1), r"\(2, 1\)")):
@@ -357,7 +368,7 @@ def test_first_register_distribution_split_state():
 
 def exact_sums(psi: StateVector, axis: int) -> np.ndarray:
     """sum k^2 2^-e along ``axis`` as Python integers over a power of two, rounded once."""
-    squares = (psi.k.astype(np.int64) ** 2).sum(axis=axis)
+    squares = (codes(psi).astype(np.int64) ** 2).sum(axis=axis)
     return np.array([float(Fraction(int(total), 1 << psi.e)) for total in squares])
 
 
@@ -400,8 +411,9 @@ def test_distributions_sum_to_one():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_every_circuit_stage_holds_int8_codes_with_sum_of_squares_two_to_the_e(n):
     for psi in circuit_states(n):
-        assert psi.k.dtype == np.int8
-        assert int(np.add.reduce(psi.k * psi.k, axis=None, dtype=np.int64)) == 1 << psi.e
+        grid = codes(psi)
+        assert set(np.unique(grid)) <= {-1, 0, 1}
+        assert int(np.add.reduce(grid * grid, axis=None, dtype=np.int64)) == 1 << psi.e
         assert "amps" not in vars(psi)
 
 
