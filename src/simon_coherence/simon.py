@@ -198,13 +198,23 @@ def oracle_apply(psi: StateVector, f: SimonFunction) -> StateVector:
 
 
 def run_stages(f: SimonFunction) -> dict[Stage, StateVector]:
-    """Evolve |0...0> through the circuit, returning every intermediate state."""
+    """Evolve |0...0> through the circuit, returning every intermediate state.
+
+    The oracle stage must hold f's graph: in the shift form, f maps every
+    nonzero row of every occupied column z (the base's nonzero rows moved by
+    z's offset) to z.  Otherwise it raises ValueError, as it does for a table
+    that ``validate_function`` rejects.
+    """
     ok, why = validate_function(f)
     if not ok:
         raise ValueError(f"invalid oracle table: {why}")
     initial = basis_state(f.n, f.n, 0)
     after_hadamard = hadamard_first_register(initial)
     after_oracle = oracle_apply(after_hadamard, f)
+    rows = np.flatnonzero(after_oracle.base)[:, None] ^ after_oracle.offsets
+    if after_oracle.phase or not (f.table[rows] == after_oracle.columns).all():
+        raise ValueError("the oracle stage does not hold f's graph: some column z has a row x "
+                         "with f(x) != z")
     final = hadamard_first_register(after_oracle)
     return {
         Stage.INITIAL: initial,

@@ -24,7 +24,6 @@ from simon_coherence.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
-    SEED_ENV_VAR,
     _agreement,
     _build_panel,
     _json,
@@ -117,17 +116,12 @@ def test_run_is_byte_identical_for_fixed_seed(capsys):
     assert json.dumps(json.loads(first), indent=2) + "\n" == first
 
 
-def test_run_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "9")
-    _, via_env, _ = run_cli(capsys, ["run", "--n", "2", "--s", "11"])
-    monkeypatch.delenv(SEED_ENV_VAR)
-    _, via_flag, _ = run_cli(capsys, ["run", "--n", "2", "--s", "11", "--seed", "9"])
-    assert via_env == via_flag
-
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    code, _, err = run_cli(capsys, ["run", "--n", "2", "--s", "11"])
-    assert code == EXIT_USAGE
-    assert SEED_ENV_VAR in err
+def test_the_report_reads_no_seed_from_the_environment(capsys, monkeypatch):
+    # the seed comes from argv alone and defaults to 0
+    monkeypatch.setenv("SIMON_COHERENCE_SEED", "9")
+    _, unseeded, _ = run_cli(capsys, ["run", "--n", "2", "--s", "11"])
+    _, seed_zero, _ = run_cli(capsys, ["run", "--n", "2", "--s", "11", "--seed", "0"])
+    assert unseeded == seed_zero
 
 
 @pytest.mark.parametrize(
@@ -135,14 +129,10 @@ def test_run_seed_env_fallback(capsys, monkeypatch):
     [["run", "--n", "2", "--s", "11"], ["verify", "--n", "2"], ["recover", "--n", "2", "--trials", "2"],
      ["gen-oracle", "--n", "2"]],
 )
-def test_negative_seed_is_a_usage_error(capsys, monkeypatch, command):
+def test_negative_seed_is_a_usage_error(capsys, command):
     code, out, err = run_cli(capsys, command + ["--seed", "-1"])
     assert (code, out) == (EXIT_USAGE, "")
     assert "--seed must not be negative, got -1" in err
-    monkeypatch.setenv(SEED_ENV_VAR, "-3")
-    code, out, err = run_cli(capsys, command)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert f"{SEED_ENV_VAR} must not be negative, got -3" in err
 
 
 def test_run_flags_the_one_check_whose_routes_disagree(capsys, monkeypatch):

@@ -7,23 +7,25 @@ set of survivors is asserted exactly, so the test fails both when a check
 weakens and when a hole closes.
 """
 
-import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from simon_coherence import Stage, cli, closed_forms, random_two_to_one, run_stages, simon, states
+from simon_coherence import Stage, cli, closed_forms, measures, random_two_to_one, run_stages, simon, states
 from test_cli import keep_two_columns
 from test_simon import assert_same_block, block_circuit
 
 
+def move_last_column(psi):
+    """``psi`` with its last column's offset XOR 1: that column moves to another input pair."""
+    offsets = psi.offsets.copy()
+    offsets[-1] ^= 1
+    return replace(psi, offsets=offsets)
+
+
 def offset_off_by_one_bit(oracle_apply):
-    def mutant(psi, f):
-        out = oracle_apply(psi, f)
-        offsets = out.offsets.copy()
-        offsets[-1] ^= 1
-        return replace(out, offsets=offsets)
-    return mutant
+    return lambda psi, f: move_last_column(oracle_apply(psi, f))
 
 
 def butterfly_sign_flipped(butterflies):
@@ -40,6 +42,11 @@ def exponent_off_by_one(oracle_apply):
     return mutant
 
 
+def rel_entropy_on_the_diagonal_twice(relative_entropy_coherence):
+    # S(diag(rho)) - S(diag(rho)), the diagonal's entropy where the spectrum's belongs
+    return lambda rho: measures._shannon_bits(np.diag(rho).real) - measures._shannon_bits(np.diag(rho).real)
+
+
 def final_support_halved(support):
     return lambda stage, n, s: 1 << 2 * n - 1 if stage is Stage.FINAL_HADAMARD else support(stage, n, s)
 
@@ -49,6 +56,7 @@ MUTANTS = {
     "butterfly": (states, "_butterflies", butterfly_sign_flipped),
     "collapse": (cli, "measure_second_register", lambda measure: keep_two_columns),
     "exponent": (simon, "oracle_apply", exponent_off_by_one),
+    "rel_entropy": (measures, "relative_entropy_coherence", rel_entropy_on_the_diagonal_twice),
     "final_support": (closed_forms, "support", final_support_halved),
 }
 
@@ -58,11 +66,11 @@ VERIFY = ("verify", "--n", "4", "--s", "1010")
 RECOVER = ("recover", "--n", "6", "--trials", "20")
 
 ROWS = {
-    # the oracle stage's column no longer holds f^-1(z), which the staged check reads;
-    # recover runs no staged check, and no Born law reads the offsets
-    ("offset", RUN): "exit 1",
-    ("offset", VERIFY): "exit 1",
-    ("offset", RECOVER): "survives",
+    # the oracle stage's column no longer holds f^-1(z), so run_stages's graph check
+    # refuses it in every command, although no support, measure or Born law moves
+    ("offset", RUN): "ValueError",
+    ("offset", VERIFY): "ValueError",
+    ("offset", RECOVER): "ValueError",
     # the first layer's column no longer repeats on f^-1(f(0)), so the oracle refuses it
     ("butterfly", RUN): "ValueError",
     ("butterfly", RECOVER): "ValueError",
@@ -71,6 +79,9 @@ ROWS = {
     # sum k^2 != 2^e
     ("exponent", RUN): "ValueError",
     ("exponent", RECOVER): "ValueError",
+    # the dense value is 0 against the pure route's log2 K; recover has no dense route
+    ("rel_entropy", RUN): "exit 1",
+    ("rel_entropy", VERIFY): "exit 1",
     ("final_support", RUN): "exit 1",
     ("final_support", VERIFY): "exit 1",
 }
@@ -91,24 +102,28 @@ def test_each_mutant_meets_its_recorded_outcome(capsys, monkeypatch):
     observed = {row: outcome(monkeypatch, *row) for row in ROWS}
     capsys.readouterr()
     assert observed == ROWS
-    assert {mutant for (mutant, _), seen in observed.items() if seen == "survives"} == {"offset"}
+    assert {mutant for (mutant, _), seen in observed.items() if seen == "survives"} == set()
 
 
-def test_the_column_block_reference_catches_the_offset_mutant(monkeypatch):
+def test_the_column_block_reference_catches_the_offset_mutant():
     f = random_two_to_one(4, 0b1010, 2)
-    monkeypatch.setattr(simon, "oracle_apply", offset_off_by_one_bit(simon.oracle_apply))
-    oracle_block = block_circuit(f, 4)[0][2]
+    moved = move_last_column(run_stages(f)[Stage.ORACLE])
     with pytest.raises(AssertionError):
-        assert_same_block(run_stages(f)[Stage.ORACLE], oracle_block)
+        assert_same_block(moved, block_circuit(f, 4)[0][2])
 
 
 @pytest.mark.parametrize("mask", ["1010", "0000"])
-def test_the_graph_check_flags_the_moved_column_at_the_oracle_stage_alone(capsys, monkeypatch, mask):
+def test_run_stages_raises_unless_the_oracle_stage_holds_the_graph(monkeypatch, mask):
     # the moved column keeps every support, measure and Born law, so only the
-    # oracle stage's graph check can see it, for a drawn mask and a bijection
-    monkeypatch.setattr(simon, "oracle_apply", offset_off_by_one_bit(simon.oracle_apply))
-    code = cli.main(["run", "--n", "4", "--s", mask, "--seed", "2", "--dense", "off"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == cli.EXIT_MISMATCH
-    assert {row["stage"] for row in doc["discrepancies"] if row["flagged"]} == {"oracle"}
-    assert all(stage["support"] == stage["closed_form_support"] for stage in doc["stages"])
+    # graph check can see it, for a drawn mask and a bijection; it also refuses
+    # the right columns in the phase form
+    f = cli._oracle(4, int(mask, 2), 2)
+    oracle_apply = simon.oracle_apply
+
+    def phase_form(psi, f):
+        return replace(oracle_apply(psi, f), phase=True)
+
+    for mutant in (offset_off_by_one_bit(oracle_apply), phase_form):
+        monkeypatch.setattr(simon, "oracle_apply", mutant)
+        with pytest.raises(ValueError, match="the oracle stage does not hold f's graph"):
+            run_stages(f)
