@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closed_forms, measures
-from .measures import DEFAULT_PANEL, FAMILIES, METHOD_CLOSED, METHOD_DENSE, METHOD_PURE, CoherenceMeasure
+from .measures import DEFAULT_PANEL, FAMILIES, METHOD_DENSE, METHOD_PURE, CoherenceMeasure
 from .recovery import recover
 from .simon import (
     FunctionTableError,
@@ -235,11 +235,10 @@ def _agreement(values) -> tuple[float, bool]:
 
 
 def _cross_checks(stage: Stage, state, f: SimonFunction, panel, rho) -> list[_Check]:
-    """One ``_Check`` per panel measure at ``stage``: the value by every route,
-    keyed by method in report order (dense on the density matrix ``rho``
-    unless it is None, pure, closed form at the support
-    ``closed_forms.support`` gives the stage), and the spread between them.
-    It is ok when the state has that support and the spread is below
+    """One ``_Check`` per panel measure at ``stage``: each float route's value,
+    keyed by method in report order (dense on ``rho`` unless it is None, then
+    pure), and their spread.  It is ok when the state has the support
+    ``closed_forms.support`` gives the stage and the spread is below
     TOL.cross_method.  ``run_stages`` has already checked the oracle stage
     against f's graph; with the support right and the columns distinct, each
     column there holds exactly f^-1(z)."""
@@ -249,7 +248,6 @@ def _cross_checks(stage: Stage, state, f: SimonFunction, panel, rho) -> list[_Ch
     for measure in panel:
         values = {} if rho is None else {METHOD_DENSE: measures.dense_coherence(rho, measure)}
         values[METHOD_PURE] = measures.pure_state_coherence(state, measure)
-        values[METHOD_CLOSED] = measures.uniform_superposition_coherence(closed_support, measure)
         spread, ok = _agreement(values.values())
         checks.append(_Check(stage, measure, values, spread, ok and exact, state.support, closed_support))
     return checks
@@ -314,7 +312,7 @@ def cmd_verify(args) -> int:
     deltas = []
     for measure in panel:
         final, hadamard = values[Stage.FINAL_HADAMARD, measure], values[Stage.HADAMARD, measure]
-        delta = {method: final[method] - hadamard[method] for method in (METHOD_CLOSED, METHOD_DENSE)}
+        delta = {method: final[method] - hadamard[method] for method in final}
         spread, ok = _agreement(delta.values())
         deltas.append(_measure_json(measure) | delta | {"discrepancy": spread, "ok": ok})
 

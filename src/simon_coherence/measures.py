@@ -40,7 +40,6 @@ __all__ = [
     "DEFAULT_PANEL",
     "METHOD_DENSE",
     "METHOD_PURE",
-    "METHOD_CLOSED",
     "tsallis_coherence",
     "l1p_coherence",
     "relative_entropy_coherence",
@@ -53,7 +52,6 @@ __all__ = [
 
 METHOD_DENSE = "dense"
 METHOD_PURE = "pure_fast"
-METHOD_CLOSED = "closed_form"
 
 
 def _require_p(p: float) -> None:
@@ -93,7 +91,10 @@ class CoherenceMeasure:
 
     def label(self) -> str:
         family = FAMILIES[self.kind]
-        return self.kind if family is None else f"{self.kind}({family[0]}={self.param:g})"
+        if family is None:
+            return self.kind
+        text = format(self.param, "g")  # unless that reads back as another number: 1.00000001 is not 1
+        return f"{self.kind}({family[0]}={text if float(text) == self.param else repr(self.param)})"
 
     def params_dict(self) -> dict[str, float]:
         family = FAMILIES[self.kind]
@@ -216,7 +217,8 @@ def uniform_superposition_coherence(support: int, measure: CoherenceMeasure) -> 
 
 def pure_state_coherence(psi: StateVector, measure: CoherenceMeasure) -> float:
     """A measure of a sign-pattern state, whose ``psi.support`` nonzero
-    amplitudes share one magnitude: the uniform formula at that count."""
+    amplitudes share one magnitude: the uniform formula at that count, and
+    the one value a check holds when the dense route is off."""
     return uniform_superposition_coherence(psi.support, measure)
 
 

@@ -14,7 +14,7 @@ class Tolerances:
     diag_power_floor: float = 1e-15     # <j|rho^a|j> at or below this contributes 0
     rank_one: float = 1e-10             # purity within this of 1 triggers pure shortcuts
     coherence_clamp: float = 1e-10      # negative roundoff clamped to 0 down to -this
-    cross_method: float = 1e-9          # dense vs pure vs closed-form agreement
+    cross_method: float = 1e-9          # dense vs pure agreement
     tsallis_limit_window: float = 1e-9  # |alpha - 1| inside this delegates to the log form
 
 

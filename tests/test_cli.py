@@ -83,7 +83,7 @@ def test_run_worked_example(capsys):
     for entry in (hadamard, final):
         assert value_of(entry, "rel_entropy", "dense") == pytest.approx(2.0, abs=1e-9)
         assert value_of(entry, "skew_info", "dense") == pytest.approx(0.75, abs=1e-9)
-        assert value_of(entry, "tsallis", "closed_form", alpha=0.5) == pytest.approx(1.5)
+        assert value_of(entry, "tsallis", "pure_fast", alpha=0.5) == pytest.approx(1.5)
     assert doc["regime"]["regime"] == "neutral"
     assert all(not row["flagged"] for row in doc["discrepancies"])
     assert stage_entry(doc, "initial")["max_discrepancy"] == 0.0
@@ -97,7 +97,7 @@ def test_run_three_qubit_production(capsys):
     assert code == EXIT_OK
     final = stage_entry(doc, "final_hadamard")
     assert value_of(final, "l1", "dense") == pytest.approx(15.0, abs=1e-9)
-    assert value_of(final, "l1", "closed_form") == pytest.approx(15.0)
+    assert value_of(final, "l1", "pure_fast") == pytest.approx(15.0)
     assert value_of(final, "rel_entropy", "pure_fast") == pytest.approx(4.0, abs=1e-9)
     assert doc["regime"]["regime"] == "production"
 
@@ -135,32 +135,25 @@ def test_negative_seed_is_a_usage_error(capsys, command):
     assert "--seed must not be negative, got -1" in err
 
 
-def test_run_flags_the_one_check_whose_routes_disagree(capsys, monkeypatch):
-    perturb_support(monkeypatch, Stage.FINAL_HADAMARD)
-    for dense in ("on", "off"):
-        code, doc = run_json(capsys, ["run", "--n", "3", "--s", "110", "--seed", "2", "--dense", dense,
-                                      "--measures", "skew_info"])
-        assert code == EXIT_MISMATCH
-        flagged = [(row["stage"], row["measure"]) for row in doc["discrepancies"] if row["flagged"]]
-        assert flagged == [("final_hadamard", "skew_info")]
-        for name in STAGE_ORDER:
-            entry = stage_entry(doc, name)
-            assert (entry["max_discrepancy"] >= 1e-9) == (name == "final_hadamard")
-            assert (entry["closed_form_support"] != entry["support"]) == (name == "final_hadamard")
-        final = stage_entry(doc, "final_hadamard")
-        assert (final["support"], final["closed_form_support"]) == (16, 32)
-
-
-def test_run_flags_a_wrong_support_that_no_value_shows(capsys, monkeypatch):
-    # at order 0.001 the formula is 1 / (1 - alpha) to the last bit for every
-    # support from 2 up, so only the integer comparison can see the oracle stage
-    perturb_support(monkeypatch, Stage.ORACLE)
-    code, doc = run_json(capsys, ["run", "--n", "3", "--seed", "5", "--measures", "tsallis", "--alphas", "0.001"])
+@pytest.mark.parametrize(
+    "stage, argv, supports",
+    [
+        (Stage.ORACLE, ["--n", "3", "--seed", "5", "--measures", "tsallis", "--alphas", "0.001"], (8, 16)),
+        *((Stage.FINAL_HADAMARD, ["--n", "3", "--s", "110", "--seed", "2", "--dense", dense,
+                                  "--measures", "skew_info"], (16, 32)) for dense in ("on", "off")),
+    ],
+    ids=["oracle", "final_hadamard-dense-on", "final_hadamard-dense-off"],
+)
+def test_run_flags_a_wrong_support_that_no_value_shows(capsys, monkeypatch, stage, argv, supports):
+    # the closed form enters a check only as its support, so no value moves and
+    # only the integer comparison can see the doubled support
+    perturb_support(monkeypatch, stage)
+    code, doc = run_json(capsys, ["run", *argv])
     assert code == EXIT_MISMATCH
-    assert [row["stage"] for row in doc["discrepancies"] if row["flagged"]] == ["oracle"]
-    oracle = stage_entry(doc, "oracle")
-    assert oracle["max_discrepancy"] == 0.0
-    assert (oracle["support"], oracle["closed_form_support"]) == (8, 16)
+    assert [row["stage"] for row in doc["discrepancies"] if row["flagged"]] == [stage.value]
+    assert [entry["max_discrepancy"] for entry in doc["stages"]] == [0.0] * len(STAGE_ORDER)
+    assert {entry["stage"]: (entry["support"], entry["closed_form_support"]) for entry in doc["stages"]
+            if entry["support"] != entry["closed_form_support"]} == {stage.value: supports}
 
 
 def test_run_bijection_has_a_final_closed_form_but_no_regime(capsys):
@@ -170,10 +163,10 @@ def test_run_bijection_has_a_final_closed_form_but_no_regime(capsys):
     # a bijection's final stage is uniform over all N^2 joint basis states
     final = stage_entry(doc, "final_hadamard")
     assert final["support"] == final["closed_form_support"] == 16
-    assert value_of(final, "l1p", "closed_form", p=1.0) == 15.0
-    assert value_of(final, "rel_entropy", "closed_form") == 4.0
+    assert value_of(final, "l1p", "pure_fast", p=1.0) == 15.0
+    assert value_of(final, "rel_entropy", "pure_fast") == 4.0
     # the hadamard stage closed form does not depend on the mask
-    assert value_of(stage_entry(doc, "hadamard"), "rel_entropy", "closed_form") == 2.0
+    assert value_of(stage_entry(doc, "hadamard"), "rel_entropy", "pure_fast") == 2.0
 
 
 def keep_two_columns(psi, seed):
@@ -205,14 +198,14 @@ def test_run_checks_every_stage_by_two_routes(capsys, n, mask, dense):
     code, doc = run_json(capsys, argv)
     assert code == EXIT_OK
     assert [entry["stage"] for entry in doc["stages"]] == STAGE_ORDER
+    # the routes are the float values and the exact support comparison
+    expected = ["dense", "pure_fast"] if doc["config"]["dense"] else ["pure_fast"]
     for entry in doc["stages"]:
         assert entry["support"] == entry["closed_form_support"]
         routes = {}
         for row in entry["values"]:
-            routes.setdefault((row["measure"], tuple(row["params"].items())), {})[row["method"]] = row["value"]
-        for methods in routes.values():
-            assert len(methods) >= 2
-            assert methods["pure_fast"] == methods["closed_form"]
+            routes.setdefault((row["measure"], tuple(row["params"].items())), []).append(row["method"])
+        assert list(routes.values()) == [expected] * len(DEFAULT_PANEL)
 
 
 def negative_zeros(node):
@@ -239,7 +232,7 @@ def test_run_beyond_dense_limit_drops_dense_route(capsys):
     assert code == EXIT_OK
     assert doc["config"]["dense"] is False
     methods = {row["method"] for row in stage_entry(doc, "hadamard")["values"]}
-    assert methods == {"pure_fast", "closed_form"}
+    assert methods == {"pure_fast"}
 
 
 def test_run_final_stage_l1p_spread_is_exactly_zero_at_n_11(capsys):

@@ -83,6 +83,12 @@ def test_measure_labels_and_params():
     assert REL_ENTROPY.params_dict() == {}
 
 
+def test_distinct_parameters_keep_distinct_labels():
+    # g format prints all three as alpha=1, so run's config.measures named one measure three times
+    labels = [tsallis(alpha).label() for alpha in (0.99999999, 1.00000001, 1.000001)]
+    assert labels == ["tsallis(alpha=0.99999999)", "tsallis(alpha=1.00000001)", "tsallis(alpha=1.000001)"]
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5, -0.3])
 def test_tsallis_measure_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):

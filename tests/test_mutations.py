@@ -1,5 +1,6 @@
 """Circuit mutants: one plausible bug each, monkeypatched into one package
-function, and the outcome the CLI meets it with.
+function, and the outcome the CLI meets it with; and a metamorphic relation
+that two tables with one coset structure must meet.
 
 Each row names a mutant, an argv and its outcome: ``exit 1`` (a check flags
 it), ``ValueError`` (a state check refuses it) or ``survives`` (exit 0).  The
@@ -7,12 +8,24 @@ set of survivors is asserted exactly, so the test fails both when a check
 weakens and when a hole closes.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simon_coherence import Stage, cli, closed_forms, measures, random_two_to_one, run_stages, simon, states
+from simon_coherence import (
+    SimonFunction,
+    Stage,
+    cli,
+    closed_forms,
+    format_function_table,
+    measures,
+    random_two_to_one,
+    run_stages,
+    simon,
+    states,
+)
 from test_cli import keep_two_columns
 from test_simon import assert_same_block, block_circuit
 
@@ -127,3 +140,47 @@ def test_run_stages_raises_unless_the_oracle_stage_holds_the_graph(monkeypatch, 
         monkeypatch.setattr(simon, "oracle_apply", mutant)
         with pytest.raises(ValueError, match="the oracle stage does not hold f's graph"):
             run_stages(f)
+
+
+def relabelled_and_mixed(f: SimonFunction, rng) -> SimonFunction:
+    """g(x) = pi(f(Ax)) for a random permutation pi of the values and a random
+    invertible GF(2) map A: g pairs x with x ^ A^-1 s, so its mask is A^-1 s."""
+    xs = np.arange(1 << f.n)
+    while True:
+        basis = rng.integers(0, 1 << f.n, size=f.n)  # column i of A is the image of bit i
+        ax = np.bitwise_xor.reduce(np.where((xs[:, None] >> np.arange(f.n)) & 1, basis, 0), axis=1)
+        if np.unique(ax).size == ax.size:
+            break
+    pi = rng.permutation(1 << f.n)
+    return SimonFunction(f.n, pi[f.table[ax]], int(np.flatnonzero(ax == f.s)[0]))
+
+
+def report_without_the_labels(capsys, table) -> dict:
+    """The ``run`` report of ``table``, less the fields that name its mask, its
+    file and the observed value, which a relabelling moves."""
+    code = cli.main(["run", "--function-file", str(table), "--seed", "1",
+                     "--measures", "tsallis,l1p,skew_info,l1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    doc = json.loads(captured.out)
+    del doc["config"]["s"], doc["config"]["function_file"]
+    post = doc["stages"][-1]
+    assert post["stage"] == "post_measure"
+    del post["observed"]
+    return doc
+
+
+@pytest.mark.parametrize("mask", ["drawn", "bijection"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_a_relabelled_and_linearly_mixed_table_gives_the_same_report(capsys, tmp_path, n, mask):
+    # every support, value, spread, flag and the regime depend on the coset
+    # structure alone, which pi and A keep; rel_entropy stays out for the BLAS
+    # reason the dense goldens give
+    f = cli._oracle(n, 0 if mask == "bijection" else None, seed=n)
+    g = relabelled_and_mixed(f, np.random.default_rng([n, f.s]))
+    assert (g.s == 0) == (f.s == 0) and not np.array_equal(g.table, f.table)
+    reports = []
+    for name, h in (("f.txt", f), ("g.txt", g)):
+        (tmp_path / name).write_text(format_function_table(h))
+        reports.append(report_without_the_labels(capsys, tmp_path / name))
+    assert reports[0] == reports[1]
